@@ -1,7 +1,8 @@
 """Timing comparison of the gmpy2 backend against the pure-Fraction fallback.
 
 Each workload runs in a fresh subprocess so the backend choice (made at
-import time from RPV_PURE) is honest.  Run from the repository root:
+import time from RPV_PURE) is honest.  Without gmpy2 there is nothing to
+compare, so the script exits 2.  Run from the repository root:
 
     python3 benchmarks/bench_backends.py [--repeat N] [--json]
 """
@@ -72,6 +73,12 @@ def main(argv=None) -> int:
         print(BACKEND, file=sys.stderr)
         print(run_workload(args.worker))
         return 0
+
+    try:
+        import gmpy2  # noqa: F401
+    except ImportError:
+        print("gmpy2 cannot be imported; there is no second backend to time", file=sys.stderr)
+        return 2
 
     rows = []
     for name in WORKLOADS:

@@ -63,6 +63,3 @@ def qq_den(q) -> int:
     """Denominator of a backend rational as a stdlib int (always > 0)."""
     return int(q.denominator)
 
-
-def is_integral(q) -> bool:
-    return q.denominator == 1

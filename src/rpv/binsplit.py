@@ -8,16 +8,8 @@ from dataclasses import dataclass
 
 from ._backend import QQ, isqrt, qq_den, qq_num
 from .errors import DivergentInput, NonExactConstant, UnsupportedFamily
-from .hyper import converges
+from .hyper import converges, family_recurrence
 from .numerics import pi_oracle
-
-
-def _poly_mul(a: tuple, b: tuple) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 def _ev(poly: tuple, n: int) -> int:
@@ -36,24 +28,25 @@ class TermRatio:
 
 
 def term_ratio(entry) -> TermRatio:
-    """Integer term-ratio polynomials for a hyper3F2 entry, z = u/v cleared.
+    """Integer term-ratio polynomials for a first-order family, z = u/v cleared.
 
-    t_{n+1}/t_n = (n+1/2)(n+s)(n+1-s)/(n+1)^3, so with s = p/q the ratio of
-    consecutive *terms* t_n z^n is u(2n+1)(qn+p)(qn+q-p) / (v 2q^2 (n+1)^3).
+    With P the family recurrence (n+1)^3 t_{n+1} = P(n) t_n and d the lcm of
+    P's denominators, the ratio of consecutive *terms* t_n z^n is
+    u d P(n) / (v d (n+1)^3).  For hyper3F2(p/q), d = 2q^2 and d P(n) is
+    (2n+1)(qn+p)(qn+q-p).
     """
     spec = getattr(entry, "spec", entry)
-    fam = spec.fam
-    if fam.kind != "hyper3F2":
+    P, Q = family_recurrence(spec.fam)
+    if Q:
         raise UnsupportedFamily(
-            f"binary splitting supports hyper3F2 entries, not {fam.kind}"
+            "binary splitting needs a first-order recurrence, "
+            f"and {spec.fam} has a second-order one"
         )
-    p, q = int(qq_num(fam.s)), int(qq_den(fam.s))
+    d = math.lcm(*(qq_den(c) for c in P))
     u, v = int(qq_num(spec.z)), int(qq_den(spec.z))
-    pp = _poly_mul(_poly_mul((1, 2), (p, q)), (q - p, q))
-    qq_ = _poly_mul(_poly_mul((1, 1), (1, 1)), (1, 1))
     return TermRatio(
-        tuple(u * c for c in pp),
-        tuple(2 * q * q * v * c for c in qq_),
+        tuple(u * qq_num(c * d) for c in P),
+        tuple(v * d * c for c in (1, 3, 3, 1)),
     )
 
 

@@ -192,18 +192,12 @@ def _verify_numeric(entry: CatalogEntry, digits: int, pi: BigApprox) -> VerifyRe
     return VerifyReport(
         id=entry.id,
         status=entry.status,
-        computed=_signed_decimal(computed, digits),
-        target=_signed_decimal(target, digits),
+        computed=computed.to_decimal(digits),
+        target=target.to_decimal(digits),
         digits_matched=agreed,
         passed=ok,
         detail=detail,
     )
-
-
-def _signed_decimal(x: BigApprox, digits: int) -> str:
-    if x.man < 0:
-        return "-" + (-x).to_decimal(digits)
-    return x.to_decimal(digits)
 
 
 def _replay_transport(entry: CatalogEntry, wrapper: dict, entries) -> tuple:

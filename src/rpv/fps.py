@@ -11,6 +11,8 @@ in `translate`).
 
 from __future__ import annotations
 
+from math import lcm
+
 from ._backend import QQ
 from .errors import (
     DenominatorVanishesAtZero,
@@ -92,18 +94,19 @@ def fps_scale(a: Series, q) -> Series:
 
 
 def fps_mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated at the shared order."""
+    """Cauchy product truncated at the shared order.
+
+    The convolution runs on integer numerators over one common denominator
+    per operand, so only the n+1 results pay a Fraction normalisation.
+    """
     n = min(a.order, b.order)
-    ac, bc = a.coeffs, b.coeffs
-    out = [QQ(0)] * (n + 1)
-    for i in range(n + 1):
-        ai = ac[i]
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            if bc[j] != 0:
-                out[i + j] += ai * bc[j]
-    return Series(out)
+    da = lcm(*(c.denominator for c in a.coeffs[: n + 1]))
+    db = lcm(*(c.denominator for c in b.coeffs[: n + 1]))
+    ia = [c.numerator * (da // c.denominator) for c in a.coeffs[: n + 1]]
+    ib = [c.numerator * (db // c.denominator) for c in b.coeffs[: n + 1]]
+    return Series(
+        [QQ(sum(ia[i] * ib[k - i] for i in range(k + 1)), da * db) for k in range(n + 1)]
+    )
 
 
 def fps_compose(outer: Series, inner: Series) -> Series:

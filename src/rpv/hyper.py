@@ -6,7 +6,25 @@ Four exact coefficient streams cover the whole catalog:
 * square2F1(s):  Cauchy square of the 2F1(s, 1-s; 1) stream
 * convCentral(s): Cauchy product of the 2F1(1/2, s; 1; -4x) and
                   2F1(1/2, 1-s; 1; -4x) streams
-* domb:          t_n = C(2n,n) * sum_k C(2k,k) C(n,k)^2
+* domb:          t_n = C(2n,n) * sum_k C(2k,k) C(n,k)^2, i.e. C(2n,n) times
+                 OEIS A002893 (not the Domb numbers A002895; the name is kept
+                 because catalog data and certificates use it)
+
+Every stream is generated from one three-term recurrence (family_recurrence)
+
+    (n+1)^3 t_{n+1} = P(n) t_n + Q(n) t_{n-1},    t_0 = 1,
+
+with
+
+    family          P(n)                          Q(n)
+    hyper3F2(s)     (2n+1)(n+s)(n+1-s)/2          0
+    square2F1(s)    (2n+1)(n^2+n+2s(1-s))         -n(n-1+2s)(n+1-2s)
+    convCentral(s)  -2(2n+1)(2n^2+2n+1)           -4n(2n-1+2s)(2n+1-2s)
+    domb            2(2n+1)(10n^2+10n+3)          -36n(2n-1)(2n+1)
+
+The definitions above are the test oracle; tests/test_hyper.py also proves
+each recurrence (the differential operator theta^3 - x P(theta) - x^2 Q(theta+1)
+annihilates the generating function, and a WZ certificate for domb).
 
 Numeric summation is certified through explicit coefficient envelopes
 |t_n| <= (n+1)^deg * R^n (proved in the docstrings of _ENVELOPES), which give
@@ -18,13 +36,13 @@ are handled by certificates, never by summation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from ._backend import QQ, qq_den, qq_num
 from .errors import DivergentInput, ParseError
 from .fps import Series
 from .numerics import BigApprox, prec_for_digits, pi_oracle, rad_to_bigapprox, sin_pi
 from .numerics import RadConst
+from .poly import poly, poly_eval, poly_mul
 
 # ============================================================
 # Pochhammer and generic hypergeometric streams
@@ -112,50 +130,45 @@ def _cache_key(fam: CoeffFamily):
     return (fam.kind, qq_num(fam.s), qq_den(fam.s))
 
 
-def _gauss_coeffs(alpha, beta, scale, n: int) -> list:
-    """First n+1 coefficients of 2F1(alpha, beta; 1; scale*x)."""
-    out = [QQ(1)]
-    for k in range(n):
-        out.append(out[-1] * (alpha + k) * (beta + k) / ((k + 1) ** 2) * scale)
+def _poly_prod(c, *factors) -> tuple:
+    """c times the product of the given polynomials in n (low degree first)."""
+    out = poly([c])
+    for f in factors:
+        out = poly_mul(out, poly(f))
     return out
 
 
-def _extend(fam: CoeffFamily, n: int) -> list:
-    key = _cache_key(fam)
-    cache = _stream_cache.setdefault(key, [])
-    if len(cache) > n:
-        return cache
+def family_recurrence(fam: CoeffFamily) -> tuple[tuple, tuple]:
+    """(P, Q) with (n+1)^3 t_{n+1} = P(n) t_n + Q(n) t_{n-1} and t_0 = 1."""
     s = fam.s
     if fam.kind == "hyper3F2":
-        if not cache:
-            cache.append(QQ(1))
-        while len(cache) <= n:
-            k = len(cache) - 1
-            cache.append(
-                cache[-1]
-                * (k + QQ(1, 2))
-                * (k + s)
-                * (k + 1 - s)
-                / ((k + 1) ** 3)
-            )
-    elif fam.kind == "square2F1":
-        g = _gauss_coeffs(s, 1 - s, QQ(1), n)
-        cache[:] = [
-            sum(g[k] * g[m - k] for k in range(m + 1)) for m in range(n + 1)
-        ]
-    elif fam.kind == "convCentral":
-        u = _gauss_coeffs(QQ(1, 2), s, QQ(-4), n)
-        v = _gauss_coeffs(QQ(1, 2), 1 - s, QQ(-4), n)
-        cache[:] = [
-            sum(u[k] * v[m - k] for k in range(m + 1)) for m in range(n + 1)
-        ]
-    elif fam.kind == "domb":
-        while len(cache) <= n:
-            m = len(cache)
-            inner = sum(comb(2 * k, k) * comb(m, k) ** 2 for k in range(m + 1))
-            cache.append(QQ(comb(2 * m, m) * inner))
-    else:
-        raise ParseError(f"unknown family kind {fam.kind!r}")
+        return _poly_prod(QQ(1, 2), (1, 2), (s, 1), (1 - s, 1)), ()
+    if fam.kind == "square2F1":
+        return (
+            _poly_prod(1, (1, 2), (2 * s * (1 - s), 1, 1)),
+            _poly_prod(-1, (0, 1), (2 * s - 1, 1), (1 - 2 * s, 1)),
+        )
+    if fam.kind == "convCentral":
+        return (
+            _poly_prod(-2, (1, 2), (1, 2, 2)),
+            _poly_prod(-4, (0, 1), (2 * s - 1, 2), (1 - 2 * s, 2)),
+        )
+    if fam.kind == "domb":
+        return _poly_prod(2, (1, 2), (3, 10, 10)), _poly_prod(-36, (0, 1), (-1, 2), (1, 2))
+    raise ParseError(f"unknown family kind {fam.kind!r}")
+
+
+def _extend(fam: CoeffFamily, n: int) -> list:
+    cache = _stream_cache.setdefault(_cache_key(fam), [QQ(1)])
+    if len(cache) > n:
+        return cache
+    P, Q = family_recurrence(fam)
+    while len(cache) <= n:
+        k = len(cache) - 1
+        t = poly_eval(P, k) * cache[k]
+        if Q and k:
+            t += poly_eval(Q, k) * cache[k - 1]
+        cache.append(t / (k + 1) ** 3)
     return cache
 
 

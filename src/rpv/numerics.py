@@ -234,14 +234,6 @@ class RadConst:
         return hash((qq_num(self.r), qq_den(self.r), self.m, self.t))
 
 
-def rad_mul(x: RadConst, y: RadConst) -> RadConst:
-    return x * y
-
-
-def rad_add(x: RadConst, y: RadConst) -> RadConst:
-    return x + y
-
-
 def rad_pow_half(v, p: int) -> RadConst:
     """Principal value of v^(p/2) for rational v != 0 and odd integer p.
 
@@ -417,13 +409,14 @@ class BigApprox:
         return d
 
     def to_decimal(self, digits: int) -> str:
-        """Truncated decimal string with `digits` fractional digits."""
-        if self.man < 0:
-            raise ValueError("to_decimal expects a nonnegative value")
-        ip = self.man >> self.prec
-        frac = self.man - (ip << self.prec)
+        """Decimal string with `digits` fractional digits: the magnitude is
+        truncated and a minus sign is written for a negative mantissa."""
+        mag = abs(self.man)
+        ip = mag >> self.prec
+        frac = mag - (ip << self.prec)
         tail = (frac * 10**digits) >> self.prec
-        return f"{ip}.{str(tail).zfill(digits)}"
+        sign = "-" if self.man < 0 else ""
+        return f"{sign}{ip}.{str(tail).zfill(digits)}"
 
 
 def rad_to_bigapprox(c: RadConst, prec: int) -> BigApprox:

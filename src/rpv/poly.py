@@ -97,9 +97,6 @@ class RatFun:
         ddv = poly_eval(poly_derivative(self.den), x)
         return (ndv * dv - nv * ddv) / (dv * dv)
 
-    def value_at_zero(self):
-        return self(QQ(0))
-
     def __repr__(self):
         return f"RatFun(num={list(self.num)}, den={list(self.den)})"
 

@@ -97,19 +97,13 @@ def starting_formula(s, digits: int = 30) -> StartReport:
         exact_target=exact,
         passed=passed,
         digits_agreed=agreed,
-        computed=_decimal(lhs, digits),
-        target=_decimal(rhs, digits),
+        computed=lhs.to_decimal(digits),
+        target=rhs.to_decimal(digits),
         detail=(
             f"sum n c_n (1/2)^n at s = {format_rational(s)} vs 2 sin(pi s)/pi; "
             f"target is {'an exact radical' if exact else 'a certified approximation'}"
         ),
     )
-
-
-def _decimal(x: BigApprox, digits: int) -> str:
-    if x.man < 0:
-        return "-" + (-x).to_decimal(digits)
-    return x.to_decimal(digits)
 
 
 # ============================================================
@@ -587,23 +581,14 @@ class Sun414Report:
         }
 
 
-def _gauss_stream(alpha, beta, order: int) -> list:
-    cs = [QQ(1)]
-    for k in range(order):
-        cs.append(cs[-1] * (alpha + k) * (beta + k) / (k + 1) ** 2)
-    return cs
-
-
 def _g44_partial(a_w, b_w, n_terms: int) -> QQ:
     """Exact sum_{n<N} (a_w + b_w n) c_n (1/2)^n for the Cauchy product of
     2F1(1/6,1/3;1) and 2F1(2/3,5/6;1)."""
-    u = _gauss_stream(QQ(1, 6), QQ(1, 3), n_terms)
-    v = _gauss_stream(QQ(2, 3), QQ(5, 6), n_terms)
-    acc = QQ(0)
-    for n in range(n_terms):
-        cn = sum(u[k] * v[n - k] for k in range(n + 1))
-        acc += (a_w + b_w * n) * cn * QQ(1, 2**n)
-    return acc
+    c = fps_mul(
+        hyper_series((QQ(1, 6), QQ(1, 3)), (QQ(1),), n_terms - 1),
+        hyper_series((QQ(2, 3), QQ(5, 6)), (QQ(1),), n_terms - 1),
+    ).coeffs
+    return sum((a_w + b_w * n) * c[n] * QQ(1, 2**n) for n in range(n_terms))
 
 
 def _g44_value(a_w, b_w, digits: int) -> BigApprox:
@@ -691,7 +676,10 @@ class RogersReport:
 
 
 def rogers_domb_check(digits: int = 30) -> RogersReport:
-    """(16n+3) Domb_n (1/100)^n against 25/(sqrt(3) pi), plus the rule."""
+    """(16n+3) t_n (1/100)^n against 25/(sqrt(3) pi), plus the rule.
+
+    t_n is the `domb` stream C(2n,n) * OEIS A002893(n), not the Domb numbers.
+    """
     target = RadConst(QQ(25, 3), 3)
     value = eval_numeric(domb(), 3, 16, QQ(1, 100), digits + 5)
     passed, agreed = _against_pi(value, target, digits)

@@ -34,9 +34,9 @@ from .fps import Series, fps_compose, fps_expand_ratfun, fps_mul, fps_pow_ration
 from .hyper import (
     CheckReport,
     CoeffFamily,
-    _extend,
     converges,
     eval_numeric,
+    family_series,
     hyper_series,
     parse_family,
 )
@@ -277,8 +277,7 @@ def rule_ids() -> list[str]:
 
 def _family_compose(fam: CoeffFamily, arg: Series, order: int) -> Series:
     """sum_n t_n arg(x)^n to `order`; arg must vanish at 0."""
-    outer = Series(_extend(fam, order)[: order + 1])
-    return fps_compose(outer, arg.truncate(order))
+    return fps_compose(family_series(fam, order), arg.truncate(order))
 
 
 def verify_rule_formal(rule: TransformRule, order: int = 64) -> CheckReport:

@@ -1,6 +1,7 @@
 """Coefficient families, certified summation, Clausen/Gauss checks."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -9,12 +10,14 @@ from rpv.errors import DivergentInput
 from rpv.fps import fps_mul
 from rpv.hyper import (
     CheckReport,
+    CoeffFamily,
     clausen_check,
     coeff,
     convCentral,
     converges,
     domb,
     eval_numeric,
+    family_recurrence,
     family_series,
     gauss_half_check,
     hyper3F2,
@@ -23,7 +26,6 @@ from rpv.hyper import (
     pochhammer,
     square2F1,
     tail_bound,
-    _gauss_coeffs,
     _tail_power_sum,
 )
 from rpv.numerics import pi_oracle, rad_to_bigapprox, sin_pi
@@ -65,14 +67,138 @@ def test_square2f1_equals_fps_square():
         assert family_series(square2F1(s), 40) == sq
 
 
-def test_convcentral_equals_cauchy_product():
-    for s in (QQ(1, 2), QQ(1, 3)):
-        n = 60
-        u = _gauss_coeffs(QQ(1, 2), s, QQ(-4), n)
-        v = _gauss_coeffs(QQ(1, 2), 1 - s, QQ(-4), n)
-        fam = convCentral(s)
-        for m in (0, 1, 5, 17, 60):
-            assert coeff(fam, m) == sum(u[k] * v[m - k] for k in range(m + 1))
+# ------------------------------------------------------------------
+# the recurrences: definitions as the oracle, then proofs
+# ------------------------------------------------------------------
+
+ORACLE_S = (QQ(1, 2), QQ(1, 3), QQ(1, 4), QQ(1, 6), QQ(1, 5), QQ(2, 7))
+
+
+def _definition(kind, s, n):
+    """t_0..t_n straight from the family definitions (no recurrence)."""
+    half = QQ(1, 2)
+    if kind == "hyper3F2":
+        return list(hyper_series([half, s, 1 - s], [1, 1], n).coeffs)
+    if kind == "square2F1":
+        g = hyper_series([s, 1 - s], [1], n)
+        return list(fps_mul(g, g).coeffs)
+    if kind == "convCentral":
+        # 2F1(1/2, s; 1; -4x) 2F1(1/2, 1-s; 1; -4x): the -4 scales index m
+        uv = fps_mul(hyper_series([half, s], [1], n), hyper_series([half, 1 - s], [1], n))
+        return [(-4) ** m * c for m, c in enumerate(uv.coeffs)]
+    return [
+        comb(2 * m, m) * sum(comb(2 * k, k) * comb(m, k) ** 2 for k in range(m + 1))
+        for m in range(n + 1)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["hyper3F2", "square2F1", "convCentral", "domb"])
+def test_stream_matches_definition(kind):
+    for s in [QQ(0)] if kind == "domb" else ORACLE_S:
+        fam = CoeffFamily(kind, s)
+        assert [coeff(fam, m) for m in range(201)] == _definition(kind, s, 200)
+
+
+def _annihilates(fam, F0, k, gauss):
+    """theta^3 - x P(theta) - x^2 Q(theta+1) kills F0, with (P, Q) the
+    recurrence of `fam` and theta = x d/dx.
+
+    F0 is a polynomial in g, g' for the 2F1(a, b; 1; kx) solutions listed in
+    `gauss` as (g, g', a, b); Gauss's equation
+    x(1 - kx) g'' = abk g - (1 - (a+b+1)kx) g' eliminates g''.  Powers of
+    h = 1 - kx are carried apart, (theta + shift)^j F0 = N_j / h^j, so every
+    N_j is a polynomial and the check is one polynomial expansion.
+    """
+    import sympy as sp
+
+    x = sp.Symbol("x")
+    h = 1 - k * x
+    P, Q = family_recurrence(fam)
+
+    def rat(c):
+        return sp.Rational(int(c.numerator), int(c.denominator))
+
+    def x_h_d(N):  # x(1 - kx) d/dx with g'' eliminated
+        out = x * h * sp.diff(N, x)
+        for g, dg, a, b in gauss:
+            out += x * h * dg * sp.diff(N, g)
+            out += (a * b * k * g - (1 - (a + b + 1) * k * x) * dg) * sp.diff(N, dg)
+        return out
+
+    def numerators(shift):
+        Ns = [F0]
+        for m in range(3):
+            N = Ns[-1]
+            Ns.append(sp.expand(x_h_d(N) + m * k * x * N + shift * h * N))
+        return Ns
+
+    th, th1 = numerators(0), numerators(1)
+    total = th[3]
+    total -= x * sum(rat(c) * th[j] * h ** (3 - j) for j, c in enumerate(P))
+    total -= x**2 * sum(rat(c) * th1[j] * h ** (3 - j) for j, c in enumerate(Q))
+    return sp.expand(total) == 0
+
+
+def test_recurrences_annihilate_gauss_products():
+    """square2F1(s) generates f^2 with f = 2F1(s, 1-s; 1; x); convCentral(s)
+    generates u v with u, v = 2F1(1/2, s; 1; -4x), 2F1(1/2, 1-s; 1; -4x).
+    The annihilator's coefficient of x^n is the recurrence at n - 1, so
+    this proves both recurrences for every n."""
+    sp = pytest.importorskip("sympy")
+    f, df, u, du, v, dv = sp.symbols("f df u du v dv")
+    half = sp.Rational(1, 2)
+    for s in ORACLE_S:
+        q = sp.Rational(int(s.numerator), int(s.denominator))
+        assert _annihilates(square2F1(s), f**2, 1, [(f, df, q, 1 - q)])
+        conv = [(u, du, half, q), (v, dv, half, 1 - q)]
+        assert _annihilates(convCentral(s), u * v, -4, conv)
+    # negative control: the recurrence of another s does not annihilate
+    assert not _annihilates(convCentral(QQ(1, 3)), u * v, -4, conv)
+
+
+def test_domb_recurrence_wz_certificate():
+    """a_n = sum_k F(n,k), F = C(n,k)^2 C(2k,k), satisfies
+    n^2 a_n = (10n^2-10n+3) a_{n-1} - 9(n-1)^2 a_{n-2}: the summand
+    H(n,k) = n^2 F(n,k) - (10n^2-10n+3) F(n-1,k) + 9(n-1)^2 F(n-2,k)
+    telescopes, H(n,k) = G(n,k+1) - G(n,k) with G = R H.  Summed over
+    0 <= k <= n it leaves G(n,n+1) - G(n,0) = 0, since R has the factor k^3
+    and H(n,n+1) = 0, provided D has no zero at 0 < k <= n+1 (checked for
+    n <= 200, the range of the stream oracle).  With t_n = C(2n,n) a_n the
+    domb recurrence at n is this one at n+1 times 2(2n+1) C(2n,n)."""
+    sp = pytest.importorskip("sympy")
+    n, k = sp.symbols("n k")
+
+    def ratio(dn, dk):  # F(n+dn, k+dk) / F(n, k) for dn in {0,-1,-2}, dk in {0,1}
+        r = sp.Integer(1)
+        for j in range(-dn):
+            r *= ((n - j - k) / (n - j)) ** 2
+        if dk:
+            r *= ((n + dn - k) / (k + 1)) ** 2 * 2 * (2 * k + 1) / (k + 1)
+        return r
+
+    def H(dk):  # H(n, k+dk) / F(n, k)
+        return (
+            n**2 * ratio(0, dk)
+            - (10 * n**2 - 10 * n + 3) * ratio(-1, dk)
+            + 9 * (n - 1) ** 2 * ratio(-2, dk)
+        )
+
+    D = (
+        9 * k**4 - 36 * k**3 * n + 18 * k**3 + 44 * k**2 * n**2 - 44 * k**2 * n
+        + 6 * k**2 - 16 * k * n**3 + 34 * k * n**2 - 12 * k * n - 8 * n**3 + 6 * n**2
+    )
+    R = k**3 * (3 * k - 4 * n) / D
+    assert sp.cancel(R.subs(k, k + 1) * H(1) - R * H(0) - H(0)) == 0
+    d = sp.lambdify((n, k), D)
+    assert all(d(m, j) != 0 for m in range(1, 201) for j in range(1, m + 2))
+
+    P, Q = (
+        sum(sp.Rational(int(c.numerator), int(c.denominator)) * n**j for j, c in enumerate(p))
+        for p in family_recurrence(domb())
+    )
+    # (n+1)^3 t_{n+1} = 2(2n+1) (n+1)^2 C(2n,n) a_{n+1}, C(2n,n) = 2(2n-1)/n C(2n-2,n-1)
+    assert sp.expand(P - 2 * (2 * n + 1) * (10 * n**2 + 10 * n + 3)) == 0
+    assert sp.cancel(Q * n / (2 * (2 * n - 1)) + 2 * (2 * n + 1) * 9 * n**2) == 0
 
 
 def test_family_string_roundtrip():

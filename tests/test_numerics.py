@@ -141,6 +141,14 @@ def test_bigapprox_basic_ops_track_error():
     assert q.agrees_to(BigApprox.from_rational(QQ(7, 3), P), 30)
 
 
+def test_bigapprox_to_decimal_signed_truncates_magnitude():
+    P = 128
+    assert BigApprox.from_rational(QQ(22, 7), P).to_decimal(4) == "3.1428"
+    assert BigApprox.from_rational(QQ(-22, 7), P).to_decimal(4) == "-3.1428"
+    assert BigApprox.from_rational(QQ(-1, 3), P).to_decimal(3) == "-0.333"
+    assert BigApprox.from_int(0, P).to_decimal(2) == "0.00"
+
+
 def test_bigapprox_sqrt():
     P = 160
     two = BigApprox.from_int(2, P)

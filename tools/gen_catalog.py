@@ -155,7 +155,7 @@ T = [
      "proved-translation", ["new"], 1162, "",
      "printed with an extra sqrt(3) weight and the source constant on the right; "
      "the plain sum equals (256*sqrt(3)/9) over pi"),
-    # --- Domb numbers ------------------------------------------------------
+    # --- domb stream: C(2n,n) * OEIS A002893 (not the Domb numbers) --------
     ("domb-16n3", "domb", "0", "1/100", "3", "16", "25/3", 3, 0,
      "numeric-only", ["new"], 1282,
      "checked numerically; the only rational transport route crosses a "
