@@ -37,10 +37,8 @@ from .translate import Certificate, replay, translate
 
 @dataclass(frozen=True)
 class RunConfig:
-    subcommand: str
     digits: int = 30
     order: int = 64
-    catalog_path: str | None = None
     json_output: bool = False
     parallelism: int = 1
 
@@ -149,10 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_verify(args, config: RunConfig) -> int:
     ids = [args.entry_id] if args.entry_id else None
     if ids:
-        get_entry(load_catalog(config.catalog_path), ids[0])
-    reports = verify_all(
-        config.digits, path=config.catalog_path, ids=ids, jobs=config.parallelism
-    )
+        get_entry(load_catalog(), ids[0])
+    reports = verify_all(config.digits, ids=ids, jobs=config.parallelism)
     ok = all(r.passed for r in reports)
     if config.json_output:
         _emit(
@@ -245,7 +241,7 @@ def _print_certificate(cert: Certificate) -> None:
 
 
 def _run_translate(args, config: RunConfig) -> int:
-    entries = load_catalog(config.catalog_path)
+    entries = load_catalog()
     entry = get_entry(entries, args.source)
     rule = get_rule(args.rule)
     x0 = parse_rational(args.x0) if args.x0 else None
@@ -278,7 +274,7 @@ def _run_translate(args, config: RunConfig) -> int:
 
 
 def _run_digits(args, config: RunConfig) -> int:
-    entries = load_catalog(config.catalog_path)
+    entries = load_catalog()
     entry = get_entry(entries, args.entry_id)
     digits = pi_digits(entry, config.digits)
     text = digits_file_text(digits)
@@ -375,10 +371,8 @@ def main(argv=None) -> int:
         name = f"rules {args.rules_command}"
     try:
         config = RunConfig(
-            subcommand=name,
             digits=getattr(args, "digits", 30),
             order=getattr(args, "order", 64),
-            catalog_path=os.environ.get("RPV_CATALOG"),
             json_output=bool(getattr(args, "json", False)),
             parallelism=getattr(args, "jobs", 1),
         )

@@ -278,11 +278,9 @@ def eval_numeric(fam: CoeffFamily, a, b, z, digits: int) -> BigApprox:
     for n in range(N):
         total += (a + b * n) * ts[n] * zp
         zp *= z
-    prec = prec_for_digits(digits)
-    out = BigApprox.from_rational(total, prec)
-    tail = tail_bound(fam, a, b, z, N)
-    tail_ulps = (qq_num(tail) << prec) // qq_den(tail) + 1
-    return BigApprox(out.man, prec, out.err + tail_ulps)
+    return BigApprox.from_partial_sum(
+        total, tail_bound(fam, a, b, z, N), prec_for_digits(digits)
+    )
 
 
 # ============================================================
@@ -331,9 +329,7 @@ def _eval_2f1_half(alpha, beta, gamma, z, digits: int, prec: int) -> BigApprox:
             raise DivergentInput("2F1 evaluation did not certify")
     tail = abs(term) * 3  # geometric with ratio <= 3/4: |term|/(1-3/4) <= 4|term|
     tail += abs(term)
-    out = BigApprox.from_rational(total, prec)
-    tail_ulps = (qq_num(tail) << prec) // qq_den(tail) + 1
-    return BigApprox(out.man, prec, out.err + tail_ulps)
+    return BigApprox.from_partial_sum(total, tail, prec)
 
 
 def gauss_half_check(s, digits: int = 30) -> CheckReport:

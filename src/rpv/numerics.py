@@ -304,6 +304,14 @@ class BigApprox:
         return cls(man, prec, 0 if (n << prec) % d == 0 else 1)
 
     @classmethod
+    def from_partial_sum(cls, total, tail, prec: int) -> "BigApprox":
+        """An exact partial sum plus a certified bound on the omitted tail,
+        folded into err as floor(tail * 2^prec) + 1 ulps."""
+        out = cls.from_rational(total, prec)
+        tail = QQ(tail)
+        return cls(out.man, prec, out.err + (qq_num(tail) << prec) // qq_den(tail) + 1)
+
+    @classmethod
     def sqrt_int(cls, m: int, prec: int) -> "BigApprox":
         if m < 0:
             raise ValueError("sqrt_int of negative integer")

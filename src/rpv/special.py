@@ -29,9 +29,9 @@ from .numerics import (
     rad_to_bigapprox,
     sin_pi,
 )
-from .poly import RatFun
-from .transforms import get_rule, verify_rule_formal
-from .translate import SeriesSpec, solve_for_x, translate
+from .poly import RatFun, poly
+from .transforms import Prefactor, get_rule, verify_rule_formal
+from .translate import SeriesSpec, solve_for_x, theta_transport, translate
 
 
 def _against_pi(value: BigApprox, target: RadConst, digits: int) -> tuple:
@@ -40,13 +40,6 @@ def _against_pi(value: BigApprox, target: RadConst, digits: int) -> tuple:
     lhs = value.rescale(prec) * pi_oracle(digits + 5).rescale(prec)
     rhs = rad_to_bigapprox(target, prec)
     return lhs.agrees_to(rhs, digits), lhs.digits_agreed(rhs)
-
-
-def _rational_to_bigapprox(q, tail, prec: int) -> BigApprox:
-    """Exact partial sum plus a certified tail bound folded into err."""
-    out = BigApprox.from_rational(QQ(q), prec)
-    extra = int(QQ(tail) * 2**prec) + 1
-    return BigApprox(out.man, prec, out.err + extra)
 
 
 # ============================================================
@@ -415,32 +408,18 @@ def _conv_q(n: int) -> int:
 
 def _terminating_3f2(n: int) -> int:
     """4^n C(2n,n)^2 3F2(1/2,1/2,-n; 1,1/2-n; 1), an exact integer."""
-    acc = QQ(0)
-    term = QQ(1)
-    for k in range(n + 1):
-        acc += term
-        if k < n:
-            term *= (
-                (QQ(1, 2) + k) * (QQ(1, 2) + k) * (-n + k)
-                / ((1 + k) * (QQ(1, 2) - n + k) * (k + 1))
-            )
-    out = 4**n * comb(2 * n, n) ** 2 * acc
+    half = QQ(1, 2)
+    f = hyper_series((half, half, QQ(-n)), (QQ(1), half - n), n)
+    out = 4**n * comb(2 * n, n) ** 2 * sum(f.coeffs)
     assert qq_den(out) == 1
     return int(out)
 
 
 def _terminating_4f3(n: int) -> int:
     """C(2n,n) C(4n,2n) 4F3(1/4,3/4,-n,-n; 1,1/4-n,3/4-n; 1), exactly."""
-    acc = QQ(0)
-    term = QQ(1)
-    for k in range(n + 1):
-        acc += term
-        if k < n:
-            term *= (
-                (QQ(1, 4) + k) * (QQ(3, 4) + k) * (-n + k) * (-n + k)
-                / ((1 + k) * (QQ(1, 4) - n + k) * (QQ(3, 4) - n + k) * (k + 1))
-            )
-    out = comb(2 * n, n) * comb(4 * n, 2 * n) * acc
+    q1, q3 = QQ(1, 4), QQ(3, 4)
+    f = hyper_series((q1, q3, QQ(-n), QQ(-n)), (QQ(1), q1 - n, q3 - n), n)
+    out = comb(2 * n, n) * comb(4 * n, 2 * n) * sum(f.coeffs)
     assert qq_den(out) == 1
     return int(out)
 
@@ -597,7 +576,7 @@ def _g44_value(a_w, b_w, digits: int) -> BigApprox:
     while QQ((3 * n + 3) * (n + 1) * 3, 2**n) * 10 ** (digits + 6) >= 1:
         n += 16
     tail = QQ((3 * n + 3) * (n + 1) * 3, 2**n)
-    return _rational_to_bigapprox(
+    return BigApprox.from_partial_sum(
         _g44_partial(QQ(a_w), QQ(b_w), n), tail, prec_for_digits(digits + 5)
     )
 
@@ -622,18 +601,18 @@ def sun_4_14(digits: int = 30) -> Sun414Report:
     value = _g44_value(-1, 3, digits)
     passed, agreed = _against_pi(value, target, digits)
 
-    # theta-transport from the (6n+1)(1/2)^n = 3 sqrt(3)/pi entry: the 4.14
-    # stream is B(x) F(x) with B = (1-x)^(-1/2) and F the 1/3 stream, so the
-    # target weights must satisfy (a_w + b_w dlog_b)/b_w = (a + b dlog_b)/b
-    # and the constant picks up beta * b_w/b.
+    # theta-transport from the (6n+1)(1/2)^n = 3 sqrt(3)/pi entry along the
+    # Clausen-Euler relation  F(x) = (1-x)^(1/2) G(x)  between the 1/3 stream
+    # F and the 4.14 stream G (so A = C = x), then scaled to b_w = 3
     x0 = QQ(1, 2)
     src = SeriesSpec(hyper3F2(QQ(1, 3)), x0, QQ(1), QQ(6), RadConst(QQ(3), 3))
-    dlog_b = x0 * QQ(1, 2) / (1 - x0)
-    beta = RadConst.sqrt_rational(QQ(1) / (1 - x0))
+    x = RatFun((0, 1))
+    *_, beta, u0, u1 = theta_transport(
+        x, Prefactor(QQ(1), ((poly((1, -1)), QQ(1, 2)),)), x, x0, src.a, src.b
+    )
     b_w = QQ(3)
-    a_w = b_w * (QQ(src.a) / QQ(src.b) - dlog_b)
-    c_tgt = src.c.scale(b_w / QQ(src.b)) * beta
-    transport_ok = (a_w, b_w, c_tgt) == (QQ(-1), QQ(3), target)
+    a_w, c_w = u0 * b_w / u1, (src.c / beta).scale(b_w / u1)
+    transport_ok = (a_w, c_w) == (QQ(-1), target)
 
     bad = _g44_value(1, 3, 12)
     _, bad_agreed = _against_pi(bad, target, 12)
@@ -691,17 +670,10 @@ def rogers_domb_check(digits: int = 30) -> RogersReport:
         hyper3F2(QQ(1, 4)), QQ(1, 2401), QQ(3), QQ(40), RadConst(QQ(49, 9), 3)
     )
     x0 = QQ(9)
-    lam = x0 * rule.A.derivative_at(x0) / rule.A(x0)
-    dlog_b = x0 * rule.B.dlog_at(x0)
-    dlog_c = x0 * rule.C.derivative_at(x0) / rule.C(x0)
-    beta = rule.B.value_at(x0)
-    raw = SeriesSpec(
-        domb(),
-        rule.C(x0),
-        source.a + source.b * dlog_b / lam,
-        source.b * dlog_c / lam,
-        source.c / beta,
+    *_, beta, u0, u1 = theta_transport(
+        rule.A, rule.B, rule.C, x0, source.a, source.b
     )
+    raw = SeriesSpec(domb(), rule.C(x0), u0, u1, source.c / beta)
     norm, _ = raw.normalized()
     naive = norm.c
     corrected = naive.scale(3)  # past the branch point the prefactor is B/3

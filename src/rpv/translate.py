@@ -13,8 +13,10 @@ evaluating at x0 transports the series spec to the other family:
     lam * S1 = x0 B'(x0) * T0 + B(x0) * dlogC * T1,   lam = x0 A'(x0)/A(x0)
 
 so  c/pi = a S0 + b S1 = w0 T0 + w1 T1  with w0, w1 in beta * Q, beta = B(x0).
-Everything on the right is exact; the result is a new SeriesSpec plus a
-Certificate recording each intermediate quantity for later replay.
+theta_transport() is the only place this step is computed; translate() and
+the hand-checked transports in special.py call it.  Everything on the right
+is exact; the result is a new SeriesSpec plus a Certificate recording each
+intermediate quantity for later replay.
 
 Distant points are dangerous: a rule that is true as a series can be false
 numerically at x0 (branch crossings).  translate() therefore gates every
@@ -27,12 +29,12 @@ series continued analytically to z, and say so in their notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm
 
 from ._backend import QQ, qq_den, qq_num
 from .errors import ArgumentMismatch, GateRefused, SingularPoint
-from .hyper import CheckReport, CoeffFamily, converges, family_envelope, parse_family
+from .hyper import CheckReport, CoeffFamily, family_envelope, parse_family
 from .numerics import RadConst, format_rational, parse_radconst, parse_rational
 from .poly import poly_eval, poly_scale, poly_sub, rational_roots
 from .transforms import (
@@ -82,24 +84,13 @@ class SeriesSpec:
 
     def same_identity(self, other: "SeriesSpec") -> bool:
         """True if the two specs state the same identity up to a common
-        nonzero rational factor on (a, b, c)."""
+        nonzero rational factor on (a, b, c).  A spec with a = b = 0 states
+        no identity, so it matches nothing."""
         if self.fam != other.fam or QQ(self.z) != QQ(other.z):
             return False
-        if (QQ(self.a) == 0) != (QQ(other.a) == 0):
+        if any(QQ(s.a) == 0 and QQ(s.b) == 0 for s in (self, other)):
             return False
-        if (QQ(self.b) == 0) != (QQ(other.b) == 0):
-            return False
-        q = (
-            QQ(other.a) / QQ(self.a)
-            if QQ(self.a) != 0
-            else QQ(other.b) / QQ(self.b)
-        )
-        return (
-            q != 0
-            and QQ(self.a) * q == QQ(other.a)
-            and QQ(self.b) * q == QQ(other.b)
-            and self.c.scale(q) == other.c
-        )
+        return self.normalized()[0] == other.normalized()[0]
 
     def to_json(self) -> dict:
         return {
@@ -218,21 +209,27 @@ def solve_for_x(ratfun, z_target) -> list:
     return sorted(r for r in roots if poly_eval(ratfun.den, r) != 0)
 
 
+def _placements(source: SeriesSpec, rule: TransformRule, points):
+    """(oriented rule, orientation, x) for every x in points(oriented rule)
+    at which that orientation puts the source on its left; the forward
+    orientation comes first."""
+    z_src = QQ(source.z)
+    for oriented, orientation in ((rule, "forward"), (reverse_rule(rule), "reversed")):
+        if source.fam != oriented.lhs:
+            continue
+        for x in points(oriented):
+            try:
+                if oriented.A(x) == z_src:
+                    yield oriented, orientation, x
+            except SingularPoint:
+                continue
+
+
 def _orient(source: SeriesSpec, rule: TransformRule, x0) -> tuple:
     """Pick the rule orientation that puts the source on the left at x0."""
     x0 = QQ(x0)
-    if source.fam == rule.lhs:
-        try:
-            if rule.A(x0) == QQ(source.z):
-                return rule, "forward"
-        except SingularPoint:
-            pass
-    if source.fam == rule.rhs:
-        try:
-            if rule.C(x0) == QQ(source.z):
-                return reverse_rule(rule), "reversed"
-        except SingularPoint:
-            pass
+    for oriented, orientation, _ in _placements(source, rule, lambda r: (x0,)):
+        return oriented, orientation
     raise ArgumentMismatch(
         f"source {source.fam} at z = {format_rational(source.z)} does not match "
         f"either side of rule {rule.rid} at x0 = {format_rational(x0)}"
@@ -242,25 +239,14 @@ def _orient(source: SeriesSpec, rule: TransformRule, x0) -> tuple:
 def _find_x0(source: SeriesSpec, rule: TransformRule, target_z) -> object:
     """Rational x0 joining source.z on one side of the rule to target_z on
     the other; smallest |x0| wins when several qualify."""
-    z_src, z_tgt = QQ(source.z), QQ(target_z)
-    cands = []
-    if source.fam == rule.lhs:
-        for x in solve_for_x(rule.C, z_tgt):
-            try:
-                if rule.A(x) == z_src:
-                    cands.append(x)
-            except SingularPoint:
-                continue
-    if source.fam == rule.rhs:
-        for x in solve_for_x(rule.A, z_tgt):
-            try:
-                if rule.C(x) == z_src:
-                    cands.append(x)
-            except SingularPoint:
-                continue
+    z_tgt = QQ(target_z)
+    cands = [
+        x
+        for _, _, x in _placements(source, rule, lambda r: solve_for_x(r.C, z_tgt))
+    ]
     if not cands:
         raise ArgumentMismatch(
-            f"no rational point joins z = {format_rational(z_src)} to "
+            f"no rational point joins z = {format_rational(source.z)} to "
             f"z = {format_rational(z_tgt)} along rule {rule.rid}"
         )
     return sorted(cands, key=lambda x: (abs(x), x))[0]
@@ -274,14 +260,49 @@ _GATE_SHRINKS = (QQ(7, 8), QQ(3, 4), QQ(1, 2), QQ(1, 4), QQ(1, 8), QQ(1, 16))
 _GATE_MARGIN = QQ(7, 8)  # require |arg| * R <= 7/8 at the gate point
 
 
-def _gate_point_ok(rule: TransformRule, x) -> bool:
-    try:
-        zA, zC = rule.A(x), rule.C(x)
-    except SingularPoint:
-        return False
+def _gate_point(rule: TransformRule, x0):
+    """x0, else the first inner point x0 * shrink, at which both arguments
+    keep the margin inside their envelopes; None when no point does."""
     rl, _ = family_envelope(rule.lhs)
     rr, _ = family_envelope(rule.rhs)
-    return abs(zA) * rl <= _GATE_MARGIN and abs(zC) * rr <= _GATE_MARGIN
+    for x in (x0, *(x0 * shrink for shrink in _GATE_SHRINKS)):
+        try:
+            zA, zC = rule.A(x), rule.C(x)
+        except SingularPoint:
+            continue
+        if abs(zA) * rl <= _GATE_MARGIN and abs(zC) * rr <= _GATE_MARGIN:
+            return x
+    return None
+
+
+def theta_transport(A, B, C, x0, a, b) -> tuple:
+    """The exact theta-step of  sum l_n A^n = B sum r_n C^n  at x0.
+
+    A and C are the argument maps (RatFun), B the prefactor (Prefactor) and
+    (a, b) the weights of the left-hand spec.  Returns
+    (lam, dlog_b, dlog_c, beta, u0, u1): the weights of the right-hand spec
+    are beta * (u0, u1).  Raises SingularPoint at a critical point of A, where
+    B vanishes and where C vanishes.
+    """
+    x0, a, b = QQ(x0), QQ(a), QQ(b)
+    zC = C(x0)
+    lam = x0 * A.derivative_at(x0) / A(x0)
+    if lam == 0:
+        raise SingularPoint(
+            f"x0 = {format_rational(x0)} is a critical point of the argument "
+            "map (lam = 0): this is limit-formula territory, not a transport"
+        )
+    beta = B.value_at(x0)
+    if beta.is_zero():
+        raise SingularPoint(
+            f"prefactor vanishes at x0 = {format_rational(x0)}: "
+            "limit-formula territory, not a transport"
+        )
+    dlog_b = x0 * B.dlog_at(x0)
+    if zC == 0:
+        raise SingularPoint("target argument vanishes at x0")
+    dlog_c = x0 * C.derivative_at(x0) / zC
+    return lam, dlog_b, dlog_c, beta, a + b * dlog_b / lam, b * dlog_c / lam
 
 
 def translate(
@@ -310,28 +331,10 @@ def translate(
     if x0 == 0:
         raise ArgumentMismatch("x0 must be nonzero")
     oriented, orientation = _orient(source, rule, x0)
-
-    # --- exact theta transport -----------------------------------------
+    lam, dlog_b, dlog_c, beta, u0, u1 = theta_transport(
+        oriented.A, oriented.B, oriented.C, x0, source.a, source.b
+    )
     zC = oriented.C(x0)
-    lam = x0 * oriented.A.derivative_at(x0) / oriented.A(x0)
-    if lam == 0:
-        raise SingularPoint(
-            f"x0 = {format_rational(x0)} is a critical point of the argument "
-            "map (lam = 0): this is limit-formula territory, not a transport"
-        )
-    beta = oriented.B.value_at(x0)
-    if beta.is_zero():
-        raise SingularPoint(
-            f"prefactor vanishes at x0 = {format_rational(x0)}: "
-            "limit-formula territory, not a transport"
-        )
-    dlog_b = x0 * oriented.B.dlog_at(x0)
-    if zC == 0:
-        raise SingularPoint("target argument vanishes at x0")
-    dlog_c = x0 * oriented.C.derivative_at(x0) / zC
-    a, b = QQ(source.a), QQ(source.b)
-    u0 = a + b * dlog_b / lam
-    u1 = b * dlog_c / lam
     raw = SeriesSpec(oriented.rhs, zC, u0, u1, source.c / beta)
     target, k = raw.normalized()
 
@@ -341,40 +344,28 @@ def translate(
     rr, _ = family_envelope(oriented.rhs)
     edge_src = abs(QQ(source.z)) * rl
     edge_tgt = abs(zC) * rr
-    if edge_src < 1 and edge_tgt < 1:
-        mode = "numeric"
-        gate_x = x0
-        if not _gate_point_ok(oriented, x0):
-            for shrink in _GATE_SHRINKS:
-                if _gate_point_ok(oriented, x0 * shrink):
-                    gate_x = x0 * shrink
-                    notes.append(
-                        "gate moved to an inner point to keep certified "
-                        "summation cheap; validity extends by continuity"
-                    )
-                    break
-            else:
-                raise GateRefused(
-                    f"no usable gate point found near x0 = {format_rational(x0)}"
-                )
-        status = "proved-translation"
-    elif edge_src <= 1 and edge_tgt <= 1:
-        # at least one side sits exactly on its convergence boundary
-        mode = "boundary"
-        gate_x = None
-        for shrink in _GATE_SHRINKS:
-            if _gate_point_ok(oriented, x0 * shrink):
-                gate_x = x0 * shrink
-                break
+    if edge_src <= 1 and edge_tgt <= 1:
+        # on a convergence boundary x0 itself always fails the margin, so
+        # the same search lands on an inner point there
+        mode = "numeric" if edge_src < 1 and edge_tgt < 1 else "boundary"
+        gate_x = _gate_point(oriented, x0)
         if gate_x is None:
             raise GateRefused(
-                f"no usable inner gate point for boundary target at "
+                f"no usable gate point found near x0 = {format_rational(x0)}"
+                if mode == "numeric"
+                else "no usable inner gate point for boundary target at "
                 f"x0 = {format_rational(x0)}"
             )
-        notes.append(
-            "an argument sits on its convergence boundary; the rule is "
-            "gated at an inner point and the value extends by Abel continuity"
-        )
+        if mode == "boundary":
+            notes.append(
+                "an argument sits on its convergence boundary; the rule is "
+                "gated at an inner point and the value extends by Abel continuity"
+            )
+        elif gate_x != x0:
+            notes.append(
+                "gate moved to an inner point to keep certified "
+                "summation cheap; validity extends by continuity"
+            )
         status = "proved-translation"
     else:
         mode = "divergent"

@@ -1,7 +1,9 @@
 """Catalog loading, invariants, and the verification driver."""
 
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +219,15 @@ def test_tampered_certificate_detected(tmp_path):
     entries = load_catalog(str(p))
     rep = verify_entry(get_entry(entries, "s14-02"), 15, entries=entries)
     assert not rep.passed and "replay" in rep.detail
+
+
+def test_certificate_generator_reproduces_shipped_file():
+    # loads the tool without running main(), so the shipped file is only read
+    tool = Path(__file__).resolve().parents[1] / "tools" / "gen_certificates.py"
+    spec = importlib.util.spec_from_file_location("gen_certificates", tool)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.render().encode() == (DATA_DIR / "certificates.json").read_bytes()
 
 
 def test_entry_edge_property(entries):

@@ -144,6 +144,18 @@ def test_replay_round_trip(tmp_path):
     assert code == 1
 
 
+def test_replay_zero_weight_target_exits_1(tmp_path):
+    argv = ["translate", "--source", "start-1/2", "--rule", "kummer-sq", "--x0", "1/2"]
+    code, out, _ = run_cli(argv + ["--json"])
+    cert = json.loads(out)["certificate"]
+    cert["target"]["a"] = cert["target"]["b"] = "0"
+    stored = tmp_path / "cert.json"
+    stored.write_text(json.dumps(cert))
+    code, out, err = run_cli(argv + ["--replay", str(stored)])
+    assert code == 1 and not err
+    assert "replay  FAIL" in out
+
+
 def test_replay_missing_file_exits_2(tmp_path):
     code, _, _ = run_cli(
         [

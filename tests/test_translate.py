@@ -210,6 +210,13 @@ def test_replay_catches_tampering():
     assert not report.passed and "target" in report.detail
 
 
+def test_replay_catches_zero_weight_target():
+    blob = translate(START2, "kummer-sq", x0=QQ(1, 2)).to_json()
+    blob["target"]["a"] = blob["target"]["b"] = "0"
+    report = replay(blob)
+    assert not report.passed and "target" in report.detail
+
+
 def test_solve_for_x():
     euler_c = get_rule("euler-sq").C
     assert solve_for_x(euler_c, -8) == [QQ(1, 2), 2]

@@ -1,4 +1,12 @@
-"""Regenerate src/rpv/data/certificates.json by replaying every transport route."""
+"""Regenerate src/rpv/data/certificates.json from the routes it already stores.
+
+Every transport wrapper is derived again from its own source_id, rule and x0
+(the source spec comes from the catalog) and checked the way `rpv verify`
+checks it; every divergence wrapper gets its entry's edge again.  Run it
+after changing the engine or the catalog:
+
+    python3 tools/gen_certificates.py
+"""
 
 import json
 import pathlib
@@ -6,88 +14,49 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from rpv._backend import QQ
-from rpv.hyper import domb, family_envelope, parse_family
-from rpv.numerics import RadConst, format_rational
-from rpv.translate import SeriesSpec, translate
+from rpv.catalog import _replay_transport, get_entry, load_catalog
+from rpv.numerics import format_rational, parse_rational
+from rpv.translate import translate
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "rpv" / "data"
+CERTIFICATES = DATA / "certificates.json"
 
-# entry receiving the certificate -> (source entry, rule, x0)
-ROUTES = [
-    ("s12-01", "start-1/4", "pfaff-sq", QQ(1, 2)),
-    ("s12-02", "start-1/2", "kummer-sq", QQ(1, 2)),
-    ("s12-05", "start-1/2", "euler-sq", QQ(1, 2)),
-    ("s12-06", "s16-09", "class4-b", QQ(4)),
-    ("s12-06", "s14-13", "class3", QQ(4)),
-    ("s12-07", "s16-01", "class4-a", QQ(64)),
-    ("s13-10", "s13-08", "class5-rogers", QQ(1)),
-    ("s13-11", "s13-11", "class5-rogers", QQ(1, 8)),
-    ("s14-02", "s12-04", "class3", QQ(1, 64)),
-    ("s14-07", "s12-02", "class3", QQ(-1, 8)),
-    ("s14-13", "s12-03", "class3", QQ(1, 4)),
-    ("s16-01", "s12-04", "class4-b", QQ(1, 64)),
-    ("s16-04", "s13-01", "class7", QQ(-1, 8)),
-    ("s16-07", "start-1/4", "goursat-28n3", QQ(1, 2)),
-    ("s16-08", "s12-02", "class4-a", QQ(-1, 8)),
-    ("s16-09", "start-1/3", "goursat-22n2", QQ(1, 2)),
-    ("s16-10", "s12-04", "class4-a", QQ(1, 64)),
-    ("sun-211", "s12-03", "sun-s2-64x", QQ(-1, 192)),
-    ("sun-cor1a", "s12-02", "sun-conv-12", QQ(-1, 8)),
-    ("sun-cor1b", "s12-02", "sun-conv-12", QQ(1, 4)),
-    ("sun-cor2a", "s16-04", "sun-conv-16", QQ(3, 500)),
-    ("sun-cor2b", "s16-04", "sun-conv-16", QQ(-3, 512)),
-]
+DIVERGENCE_NOTE = (
+    "|z| times the envelope radius is outside the open unit disk; "
+    "the series is never summed"
+)
 
 
-def load_specs():
-    doc = json.loads((DATA / "catalog.json").read_text())
-    out = {}
-    for e in doc["entries"]:
-        fam = domb() if e["family"] == "domb" else parse_family(f"{e['family']}:{e['s']}")
-        q = lambda t: QQ(*map(int, t.split("/"))) if "/" in t else QQ(int(t))
-        out[e["id"]] = (
-            SeriesSpec(fam, q(e["z"]), q(e["a"]), q(e["b"]),
-                       RadConst(q(e["c_r"]), e["c_m"], e["c_t"])),
-            e["status"],
-        )
-    return out
+def _rederive(entry, wrapper: dict, entries: list) -> dict:
+    if wrapper["kind"] == "divergence":
+        return {"kind": "divergence", "edge": format_rational(entry.edge),
+                "note": DIVERGENCE_NOTE}
+    source_id, stored = wrapper["source_id"], wrapper["certificate"]
+    cert = translate(get_entry(entries, source_id).spec, stored["rule"],
+                     x0=parse_rational(stored["x0"]))
+    fresh = {"kind": "transport", "source_id": source_id,
+             "certificate": cert.to_json()}
+    ok, detail = _replay_transport(entry, fresh, entries)
+    if not ok:
+        raise SystemExit(f"{entry.id} <- {source_id} via {stored['rule']}: {detail}")
+    return fresh
+
+
+def render() -> str:
+    """The text of certificates.json, derived again from its stored routes."""
+    entries = load_catalog(str(DATA / "catalog.json"))
+    stored = json.loads(CERTIFICATES.read_text())["entries"]
+    certs = {
+        eid: [_rederive(get_entry(entries, eid), w, entries) for w in wrappers]
+        for eid, wrappers in stored.items()
+    }
+    return json.dumps({"schema": "rpv-certificates/1", "entries": certs}, indent=1) + "\n"
 
 
 def main():
-    specs = load_specs()
-    certs = {}
-    for target_id, source_id, rule, x0 in ROUTES:
-        source, _ = specs[source_id]
-        cert = translate(source, rule, x0=x0)
-        tgt, _ = specs[target_id]
-        assert cert.target.z == tgt.z, (target_id, cert.target.z)
-        assert cert.target.fam == tgt.fam, target_id
-        norm_t, _ = tgt.normalized()
-        norm_c, _ = cert.target.normalized()
-        assert (norm_c.a, norm_c.b) == (norm_t.a, norm_t.b), (
-            target_id, norm_c.a, norm_c.b)
-        if tgt.c.t == 0 and cert.status != "divergent-certificate":
-            assert cert.target.same_identity(tgt), target_id
-        certs.setdefault(target_id, []).append(
-            {"kind": "transport", "source_id": source_id,
-             "certificate": cert.to_json()}
-        )
-        print(f"{target_id:10s} <- {source_id:10s} via {rule:14s} "
-              f"x0={format_rational(x0):7s} {cert.gate_mode}")
-    for eid, (spec, status) in specs.items():
-        if status != "divergent-certificate":
-            continue
-        R, _ = family_envelope(spec.fam)
-        edge = abs(spec.z) * R
-        assert edge >= 1, eid
-        certs.setdefault(eid, []).append(
-            {"kind": "divergence", "edge": format_rational(edge),
-             "note": "|z| times the envelope radius is outside the open unit disk; "
-                     "the series is never summed"}
-        )
-    doc = {"schema": "rpv-certificates/1", "entries": certs}
-    (DATA / "certificates.json").write_text(json.dumps(doc, indent=1) + "\n")
+    text = render()
+    CERTIFICATES.write_text(text)
+    certs = json.loads(text)["entries"]
     n = sum(len(v) for v in certs.values())
     print(f"wrote certificates.json ({n} certificates, {len(certs)} entries)")
 
