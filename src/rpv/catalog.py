@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from ._backend import QQ
@@ -14,12 +14,14 @@ from .hyper import domb, eval_numeric, family_envelope, parse_family
 from .numerics import (
     BigApprox,
     RadConst,
+    capped_radicand,
     format_rational,
     parse_rational,
     pi_oracle,
     prec_for_digits,
     rad_to_bigapprox,
 )
+from .parallel import parallel_map
 from .translate import Certificate, SeriesSpec, replay
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -80,7 +82,11 @@ def _entry_from_json(rec: dict, certs: dict) -> CatalogEntry:
             parse_rational(rec["z"]),
             parse_rational(rec["a"]),
             parse_rational(rec["b"]),
-            RadConst(parse_rational(rec["c_r"]), int(rec["c_m"]), int(rec["c_t"])),
+            RadConst(
+                parse_rational(rec["c_r"]),
+                capped_radicand(int(rec["c_m"])),
+                int(rec["c_t"]),
+            ),
         )
         entry = CatalogEntry(
             id=rec["id"],
@@ -137,6 +143,15 @@ def _check_invariants(entries: list) -> None:
                 )
 
 
+def _read_json(path: Path, what: str) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_catalog(path: str | None = None) -> list:
     """Load and validate the catalog (RPV_CATALOG overrides the bundled file).
 
@@ -146,18 +161,13 @@ def load_catalog(path: str | None = None) -> list:
     if path is None:
         path = os.environ.get("RPV_CATALOG") or str(DATA_DIR / "catalog.json")
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise ParseError(f"catalog file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"catalog file {path} is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "catalog file")
     if doc.get("schema") != "rpv-catalog/1":
         raise ParseError(f"catalog file {path}: unknown schema {doc.get('schema')!r}")
     certs = {}
     cert_path = path.parent / "certificates.json"
     if cert_path.exists():
-        cdoc = json.loads(cert_path.read_text())
+        cdoc = _read_json(cert_path, "certificates file")
         if cdoc.get("schema") != "rpv-certificates/1":
             raise ParseError(f"{cert_path}: unknown schema {cdoc.get('schema')!r}")
         certs = cdoc["entries"]
@@ -294,11 +304,15 @@ def verify_entry(
     return _verify_certificates(entry, entries)
 
 
-def _verify_one_by_id(args) -> dict:
-    path, entry_id, digits = args
-    entries = load_catalog(path)
-    entry = get_entry(entries, entry_id)
-    return verify_entry(entry, digits, entries=entries).to_json()
+@lru_cache(maxsize=1)
+def _worker_catalog(path: str | None) -> list:
+    # pool workers only: one catalog load per worker process, not per entry
+    return load_catalog(path)
+
+
+def _verify_one_by_id(path: str | None, entry_id: str, digits: int) -> VerifyReport:
+    entries = _worker_catalog(path)
+    return verify_entry(get_entry(entries, entry_id), digits, entries=entries)
 
 
 def verify_all(
@@ -313,22 +327,9 @@ def verify_all(
         chosen = [get_entry(entries, i) for i in ids]
     else:
         chosen = entries
-    if jobs > 1:
-        work = [(path, e.id, digits) for e in chosen]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_verify_one_by_id, work))
-        return [_report_from_json(r) for r in raw]
+    if jobs > 1 and len(chosen) > 1:
+        return parallel_map(
+            _verify_one_by_id, [(path, e.id, digits) for e in chosen], jobs
+        )
     pi = pi_oracle(digits + 5)
     return [verify_entry(e, digits, pi=pi, entries=entries) for e in chosen]
-
-
-def _report_from_json(rec: dict) -> VerifyReport:
-    return VerifyReport(
-        id=rec["id"],
-        status=rec["status"],
-        computed=rec["computed"],
-        target=rec["target"],
-        digits_matched=rec["digitsMatched"],
-        passed=rec["pass"],
-        detail=rec["detail"],
-    )

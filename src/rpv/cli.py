@@ -5,7 +5,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .binsplit import digits_file_text, oracle_digits, pi_digits
@@ -22,9 +21,10 @@ from .errors import (
     UnsupportedFamily,
 )
 from .numerics import parse_rational
+from .parallel import parallel_map
 from .special import (
     LIMIT_SPECS,
-    limit_eval,
+    limit_verdict,
     rogers_domb_check,
     starting_formula,
     sun_2_11,
@@ -111,11 +111,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the digit text to this file")
     p.add_argument("--check", action="store_true", help="compare against the AGM oracle")
 
-    p = sub.add_parser("limit", help="evaluate a boundary limit by extrapolation")
+    p = sub.add_parser(
+        "limit", help="decide a boundary limit exactly by its Abelian closed form"
+    )
     p.add_argument("--id", dest="limit_id", required=True)
     p.add_argument("--tolerance", type=float, required=True)
+    p.add_argument(
+        "--ladder",
+        action="store_true",
+        help="also run the heuristic float Richardson ladder, which must agree",
+    )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument(
+        "--jobs", type=int, default=_default_jobs(), help="ladder processes"
+    )
 
     p = sub.add_parser("sun", help="run one of the conjecture checks")
     p.add_argument(
@@ -170,8 +179,7 @@ def _run_verify(args, config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _rule_check(packed) -> tuple:
-    rid, order = packed
+def _rule_check(rid: str, order: int) -> tuple:
     rep = verify_rule_formal(get_rule(rid), order)
     return rid, rep.passed, rep.detail
 
@@ -179,12 +187,9 @@ def _rule_check(packed) -> tuple:
 def _run_rules_verify(args, config: RunConfig) -> int:
     chosen = [args.rule_id] if args.rule_id else rule_ids()
     rules = {rid: get_rule(rid) for rid in chosen}
-    work = [(rid, config.order) for rid in chosen]
-    if config.parallelism > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            rows = list(pool.map(_rule_check, work))
-    else:
-        rows = [_rule_check(w) for w in work]
+    rows = parallel_map(
+        _rule_check, [(rid, config.order) for rid in chosen], config.parallelism
+    )
     ok = all(passed for _, passed, _ in rows)
     if config.json_output:
         _emit(
@@ -298,19 +303,24 @@ def _run_limit(args, config: RunConfig) -> int:
     if args.limit_id not in LIMIT_SPECS:
         known = ", ".join(sorted(LIMIT_SPECS))
         raise ParseError(f"no limit spec with id {args.limit_id!r} (known: {known})")
-    if not args.tolerance > 0:
-        raise ValueError("tolerance must be positive")
-    rep = limit_eval(LIMIT_SPECS[args.limit_id], args.tolerance, jobs=config.parallelism)
+    rep = limit_verdict(
+        LIMIT_SPECS[args.limit_id],
+        args.tolerance,
+        ladder=args.ladder,
+        jobs=config.parallelism,
+    )
     if config.json_output:
         payload = rep.to_json()
         payload["id"] = args.limit_id
         _emit(payload)
     else:
         flag = "pass" if rep.passed else "FAIL"
+        ladder = (
+            f"  err<={rep.error_estimate:.3e}  k={rep.k_used}" if args.ladder else ""
+        )
         print(
             f"{args.limit_id}: {flag}  value={rep.value!r} target={rep.target_value!r}"
-            f"  err<={rep.error_estimate:.3e}  k={rep.k_used}"
-            f" (tolerance {rep.tolerance:g})"
+            f"  pi*limit={rep.exact!r}{ladder} (tolerance {rep.tolerance:g})"
         )
         print(f"  {rep.detail}")
     return 0 if rep.passed else 1

@@ -247,6 +247,18 @@ def rad_pow_half(v, p: int) -> RadConst:
     return RadConst.sqrt_rational(v).pow_int(p)
 
 
+# trial division up to 10^6 settles any radicand up to 10^12; larger ones
+# from outside input could stall squarefree_decompose for hours
+MAX_RADICAND = 10**12
+
+
+def capped_radicand(m: int) -> int:
+    """m itself, or ParseError when it exceeds MAX_RADICAND."""
+    if m > MAX_RADICAND:
+        raise ParseError(f"radicand {m} exceeds the cap {MAX_RADICAND}")
+    return m
+
+
 def parse_radconst(text: str) -> RadConst:
     """Parse the canonical form "r[*sqrt(m)][*i]" (as produced by repr)."""
     s = text.strip().replace(" ", "")
@@ -261,17 +273,18 @@ def parse_radconst(text: str) -> RadConst:
     elif s == "i":
         return RadConst(1, 1, 1)
     m = 1
+    radical = None
     if "*sqrt(" in s:
-        s, _, tail = s.partition("*sqrt(")
-        if not tail.endswith(")"):
+        s, _, radical = s.partition("*sqrt(")
+    elif s.startswith("sqrt("):
+        s, radical = "1", s[5:]
+    if radical is not None:
+        if not radical.endswith(")"):
             raise ParseError(f"malformed radical: {text!r}")
         try:
-            m = int(tail[:-1])
+            m = capped_radicand(int(radical[:-1]))
         except ValueError as exc:
             raise ParseError(f"malformed radical: {text!r}") from exc
-    elif s.startswith("sqrt(") and s.endswith(")"):
-        m = int(s[5:-1])
-        s = "1"
     return RadConst(parse_rational(s), m, t)
 
 

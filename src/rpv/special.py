@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from ._backend import QQ, qq_den, qq_num
@@ -29,7 +28,8 @@ from .numerics import (
     rad_to_bigapprox,
     sin_pi,
 )
-from .poly import RatFun, poly
+from .parallel import parallel_map
+from .poly import RatFun, _deflate, poly, poly_eval, poly_sub
 from .transforms import Prefactor, get_rule, verify_rule_formal
 from .translate import SeriesSpec, solve_for_x, theta_transport, translate
 
@@ -166,11 +166,8 @@ class LimitSpec:
             raise InvariantViolation("limit target must be a nonzero real radical")
         if self.weight(QQ(self.x_star)) != 0:
             raise InvariantViolation("weight must vanish at the approach point")
+        limit_exact(self)  # the closed form's hypotheses, checked exactly
         radius, _ = family_envelope(self.family)
-        if abs(self.argument(QQ(self.x_star))) * radius != 1:
-            raise InvariantViolation(
-                "argument must sit on the convergence boundary at x_star"
-            )
         for k in (0, 3, 6):
             if abs(self.argument(self.x_at(k))) * radius >= 1:
                 raise InvariantViolation(
@@ -184,7 +181,91 @@ class LimitSpec:
         )
 
     def target_float(self) -> float:
-        return float(QQ(self.target.r)) * math.sqrt(self.target.m) / math.pi
+        return _over_pi(self.target)
+
+
+def _over_pi(c: RadConst) -> float:
+    """A real radical constant c as the float c/pi."""
+    return float(QQ(c.r)) * math.sqrt(c.m) / math.pi
+
+
+def _leading_term(f: RatFun, x) -> tuple:
+    """(k, c) with f(X) = c (X - x)^k + O((X - x)^(k+1)) and c != 0, exactly."""
+    out = []
+    for p in (f.num, f.den):
+        if not p:
+            raise InvariantViolation("limit spec function is identically zero")
+        k = 0
+        while poly_eval(p, x) == 0:
+            p = _deflate(p, x)
+            k += 1
+        out.append((k, poly_eval(p, x)))
+    (kn, cn), (kd, cd) = out
+    return kn - kd, cn / cd
+
+
+@dataclass(frozen=True)
+class LimitProof:
+    """pi * limit = sign * sin(pi s) * sqrt(L) with L = lim w^2 / (1 - A)."""
+
+    value: RadConst  # pi * limit
+    L: object  # QQ, > 0
+    weight_order: int  # order of the zero of w at x_star
+    gap_order: int  # order of the zero of 1 - A at x_star (= 2 weight_order)
+    sin: RadConst  # sin(pi s), from the exact table
+    sign: int  # sign of w on the approach side
+
+    def detail(self) -> str:
+        return (
+            f"Abelian closed form: pi*limit = {'+' if self.sign > 0 else '-'}"
+            f"sin(pi s) sqrt(L) = {self.value}, with sin(pi s) = {self.sin} and "
+            f"L = lim w^2/(1-A) = {format_rational(self.L)}; w has a zero of "
+            f"order {self.weight_order} and 1 - A one of order {self.gap_order}"
+        )
+
+
+def limit_exact(spec: LimitSpec) -> LimitProof:
+    """The exact limit of w(x) sum n t_n A(x)^n, as pi * limit, with its proof.
+
+    For hyper3F2(s), n t_n ~ sin(pi s) pi^(-3/2) n^(-1/2) (Gamma-ratio
+    asymptotics), so as A -> 1- the Abelian theorem gives
+    sum n t_n A^n ~ sin(pi s) / (pi sqrt(1 - A)).  Hence
+    pi * limit = sign(w) sin(pi s) sqrt(L), L = lim w^2 / (1 - A), which the
+    leading Taylor terms of w and 1 - A at x_star give exactly.  Raises
+    InvariantViolation when a hypothesis fails: A(x_star) = +1, L finite and
+    > 0 (so A -> 1- on both sides), sin(pi s) on the exact table.
+    """
+    x = QQ(spec.x_star)
+    A = spec.argument
+    if A(x) != 1:
+        raise InvariantViolation("argument must equal +1 at x_star")
+    kw, cw = _leading_term(spec.weight, x)
+    kg, cg = _leading_term(RatFun(poly_sub(A.den, A.num), A.den), x)
+    if 2 * kw != kg:
+        kind = "0" if 2 * kw > kg else "infinite"
+        raise InvariantViolation(
+            f"lim w^2/(1-A) is {kind}: w vanishes to order {kw}, 1 - A to order {kg}"
+        )
+    L = cw * cw / cg
+    if L <= 0:
+        raise InvariantViolation("lim w^2/(1-A) must be positive (A -> 1 from below)")
+    sin = sin_pi(spec.family.s)
+    if not isinstance(sin, RadConst):
+        raise InvariantViolation(
+            f"sin(pi s) at s = {format_rational(spec.family.s)} is not on the exact table"
+        )
+    # w ~ cw (x - x_star)^kw; on the left (x - x_star)^kw has the sign (-1)^kw
+    sign = 1 if cw > 0 else -1
+    if spec.direction == "left" and kw % 2:
+        sign = -sign
+    return LimitProof(
+        value=(sin * RadConst.sqrt_rational(L)).scale(sign),
+        L=L,
+        weight_order=kw,
+        gap_order=kg,
+        sin=sin,
+        sign=sign,
+    )
 
 
 LIMIT_SPECS = {
@@ -260,6 +341,8 @@ class LimitReport:
     nodes: tuple
     extrapolants: tuple
     detail: str
+    exact: RadConst | None = None  # pi * limit, when derived by limit_exact
+    method: str = "richardson"
 
     def to_json(self) -> dict:
         return {
@@ -270,6 +353,8 @@ class LimitReport:
             "kUsed": self.k_used,
             "errorEstimate": self.error_estimate,
             "detail": self.detail,
+            "exact": None if self.exact is None else repr(self.exact),
+            "method": self.method,
         }
 
 
@@ -344,14 +429,9 @@ def limit_eval(
         if got is None:
             break
         batch.append(got)
-    if jobs > 1 and len(batch) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(batch))) as pool:
-            sums = list(pool.map(_node_sum, *zip(*(args for args, _ in batch))))
-        for (_, w), s in zip(batch, sums):
-            push(w * s)
-    else:
-        for args, w in batch:
-            push(w * _node_sum(*args))
+    sums = parallel_map(_node_sum, [args for args, _ in batch], jobs)
+    for (_, w), s in zip(batch, sums):
+        push(w * s)
 
     k = len(rows) - 1
     while True:
@@ -389,6 +469,42 @@ def limit_eval(
         args, w = got
         push(w * _node_sum(*args))
         k += 1
+
+
+def limit_verdict(
+    spec: LimitSpec, tolerance: float, ladder: bool = False, jobs: int = 1
+) -> LimitReport:
+    """Decide a limit spec by limit_exact: it passes when the derived constant
+    is spec.target.  With `ladder`, value, k, error estimate and detail come
+    from the heuristic Richardson ladder (limit_eval), which must pass too."""
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
+    proof = limit_exact(spec)
+    target = spec.target_float()
+    value = _over_pi(proof.value)
+    exact_ok = proof.value == spec.target and abs(value - target) <= tolerance
+    if ladder:
+        rep = limit_eval(spec, tolerance, jobs=jobs)
+        return replace(
+            rep,
+            passed=exact_ok and rep.passed,
+            detail=f"heuristic: {rep.detail}; exact: {proof.detail()}",
+            exact=proof.value,
+            method="closed-form+ladder",
+        )
+    return LimitReport(
+        value=value,
+        target_value=target,
+        tolerance=tolerance,
+        passed=exact_ok,
+        k_used=0,
+        error_estimate=0.0,
+        nodes=(),
+        extrapolants=(),
+        detail=proof.detail(),
+        exact=proof.value,
+        method="closed-form",
+    )
 
 
 # ============================================================

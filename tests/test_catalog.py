@@ -154,6 +154,13 @@ def test_bad_status_rejected(tmp_path):
         load_catalog(_tampered(tmp_path, mut))
 
 
+def test_oversized_radicand_rejected(tmp_path):
+    def mut(d):
+        d["entries"][0]["c_m"] = 1000000000000000003
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        load_catalog(_tampered(tmp_path, mut))
+
+
 def test_bad_tag_rejected(tmp_path):
     def mut(d):
         d["entries"][0]["tags"] = ["WZ", "folklore"]

@@ -3,11 +3,17 @@
 import contextlib
 import io
 import json
+import shutil
+from dataclasses import replace
 
 import pytest
 
+import rpv.special
+from rpv._backend import QQ
 from rpv.binsplit import digits_file_text, oracle_digits
+from rpv.catalog import DATA_DIR
 from rpv.cli import main, render_json
+from rpv.numerics import RadConst
 
 
 def run_cli(argv):
@@ -55,6 +61,13 @@ def test_verify_jobs_deterministic():
     code3, out3, _ = run_cli(["verify", "--digits", "10", "--json", "--jobs", "3"])
     assert code1 == code3 == 0
     assert out1 == out3
+
+
+def test_rules_verify_jobs_deterministic():
+    code1, out1, _ = run_cli(["rules", "verify", "--order", "8", "--json", "--jobs", "1"])
+    code2, out2, _ = run_cli(["rules", "verify", "--order", "8", "--json", "--jobs", "2"])
+    assert code1 == code2 == 0
+    assert out1 == out2
 
 
 def test_rules_verify_lists_warning_caveat():
@@ -118,6 +131,53 @@ def test_limit_text_output():
     code, out, _ = run_cli(["limit", "--id", "limit-start-1/6", "--tolerance", "1e-6"])
     assert code == 0
     assert out.startswith("limit-start-1/6: pass")
+
+
+def test_limit_default_is_exact_without_ladder(monkeypatch):
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("the ladder ran without --ladder")
+
+    monkeypatch.setattr(rpv.special, "limit_eval", no_ladder)
+    code, out, _ = run_cli(["limit", "--id", "limit-8px", "--tolerance", "1e-8", "--json"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["exact"] == "4*sqrt(3)" and rep["method"] == "closed-form"
+    assert rep["kUsed"] == 0 and rep["errorEstimate"] == 0.0
+    assert rep["value"] == rep["target"]
+
+
+def test_limit_ladder_reports_heuristic():
+    code, out, _ = run_cli(
+        ["limit", "--id", "limit-start-1/6", "--tolerance", "1e-6", "--ladder",
+         "--jobs", "1", "--json"]
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["pass"] and rep["kUsed"] >= 5
+    assert rep["errorEstimate"] <= rep["tolerance"]
+    assert rep["detail"].startswith("heuristic") and rep["exact"] == "1"
+
+
+def test_limit_wrong_target_exits_1(monkeypatch):
+    spec = replace(rpv.special.LIMIT_SPECS["limit-8x1"], target=RadConst(QQ(1, 2), 2))
+    monkeypatch.setitem(rpv.special.LIMIT_SPECS, "limit-wrong", spec)
+    code, out, _ = run_cli(["limit", "--id", "limit-wrong", "--tolerance", "1e-8"])
+    assert code == 1
+    assert out.startswith("limit-wrong: FAIL")
+
+
+def test_unreadable_catalog_exits_2(monkeypatch, tmp_path):
+    monkeypatch.setenv("RPV_CATALOG", str(tmp_path))
+    code, _, err = run_cli(["verify", "--id", "s12-04", "--digits", "10"])
+    assert code == 2
+    assert "cannot read catalog file" in err
+    # a directory where certificates.json should be
+    shutil.copy(DATA_DIR / "catalog.json", tmp_path / "catalog.json")
+    (tmp_path / "certificates.json").mkdir()
+    monkeypatch.setenv("RPV_CATALOG", str(tmp_path / "catalog.json"))
+    code, _, err = run_cli(["verify", "--id", "s12-04", "--digits", "10"])
+    assert code == 2
+    assert "cannot read certificates file" in err
 
 
 def test_sun_checks_run():
@@ -193,3 +253,16 @@ def test_catalog_env_override(tmp_path, monkeypatch):
 def test_help_exits_0():
     code, _, _ = run_cli(["--help"])
     assert code == 0
+
+
+def test_replay_oversized_radicand_exits_2(tmp_path):
+    argv = ["translate", "--source", "start-1/2", "--rule", "kummer-sq", "--target-z", "-1/8"]
+    code, out, _ = run_cli(argv + ["--json"])
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    cert["target"]["c"] = "1*sqrt(1000000000000000003)"
+    stored = tmp_path / "cert.json"
+    stored.write_text(json.dumps(cert))
+    code, _, err = run_cli(argv + ["--replay", str(stored)])
+    assert code == 2
+    assert "exceeds the cap" in err

@@ -5,6 +5,7 @@ Frozen oracle values (classical constants, independent of the engine):
 """
 
 import random
+import time
 
 import pytest
 
@@ -122,6 +123,17 @@ def test_rad_text_roundtrip():
         assert parse_radconst(repr(x)) == x
     assert parse_radconst("0") == RadConst.zero()
     assert repr(RadConst(QQ(5, 3), 15)) == "5/3*sqrt(15)"
+
+
+def test_parse_radconst_refuses_oversized_radicand_quickly():
+    # the cap 10^12 is reachable and parses; one past it is refused
+    assert parse_radconst("sqrt(1000000000000)") == RadConst(10**6)
+    start = time.perf_counter()
+    for text in ["1*sqrt(1000000000000000003)", "sqrt(1000000000000000003)",
+                 "2*sqrt(1000000000001)*i", "sqrt(x)"]:
+        with pytest.raises(ParseError):
+            parse_radconst(text)
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,8 @@ from rpv.special import (
     LimitSpec,
     corollary_binomial_check,
     limit_eval,
+    limit_exact,
+    limit_verdict,
     rogers_domb_check,
     starting_formula,
     sun_2_11,
@@ -84,10 +87,38 @@ def test_limit_spec_targets():
         assert LIMIT_SPECS[lid].target == RadConst(r, m), lid
 
 
+# L = lim w^2/(1-A) for each spec, worked out by hand from its RatFuns
+LIMIT_L = {
+    "limit-start-1/2": 4,
+    "limit-start-1/3": 4,
+    "limit-start-1/4": 4,
+    "limit-start-1/6": 4,
+    "limit-8x1": 3,
+    "limit-x1": 4,
+    "limit-8px": 192,
+}
+
+
+def test_limit_exact_decides_every_spec():
+    for lid, (r, m) in LIMIT_TARGETS.items():
+        proof = limit_exact(LIMIT_SPECS[lid])
+        assert proof.value == RadConst(r, m), lid
+        assert proof.L == LIMIT_L[lid], lid
+        assert (proof.weight_order, proof.gap_order, proof.sign) == (1, 2, 1), lid
+        rep = limit_verdict(LIMIT_SPECS[lid], 1e-8)
+        assert rep.passed and rep.k_used == 0 and rep.error_estimate == 0.0, lid
+        assert rep.exact == RadConst(r, m) and rep.method == "closed-form", lid
+
+
+def _over_pi(c):
+    return float(c.r) * math.sqrt(c.m) / math.pi
+
+
 def test_limit_ladder_all_specs():
     for lid, spec in LIMIT_SPECS.items():
         rep = limit_eval(spec, 1e-8)
         assert rep.passed, (lid, rep.detail)
+        assert abs(rep.value - _over_pi(limit_exact(spec).value)) <= 1e-8, lid
         assert abs(rep.value - rep.target_value) <= 1e-8, lid
         assert rep.error_estimate <= 1e-8, lid
         assert rep.k_used >= 5
@@ -135,6 +166,32 @@ def test_limit_spec_rejects_bad_input():
         LimitSpec(hyper3F2(half), weight, RatFun((0, 2, -2)), half, "left", RadConst(2))
     with pytest.raises(InvariantViolation):
         LimitSpec(hyper3F2(half), weight, arg, half, "left", RadConst(2, 1, 1))
+
+
+def test_limit_spec_rejects_failed_closed_form_hypotheses():
+    weight = RatFun((1, -2), (1, -1))
+    arg = RatFun((0, 4, -4))
+    half = QQ(1, 2)
+    cases = [
+        # A(x*) = -1: on the boundary, but the series does not blow up there
+        (hyper3F2(half), weight, RatFun((0, -4, 4))),
+        # w has a double zero, so L = lim w^2/(1-A) = 0
+        (hyper3F2(half), RatFun((1, -4, 4), (1, -1)), arg),
+        # 1 - A = (1-2x)^4 vanishes faster than w^2, so L is infinite
+        (hyper3F2(half), weight, RatFun((0, 8, -24, 32, -16))),
+        # sin(pi/5) is not on the exact table
+        (hyper3F2(QQ(1, 5)), weight, arg),
+    ]
+    for fam, w, a in cases:
+        with pytest.raises(InvariantViolation):
+            LimitSpec(fam, w, a, half, "left", RadConst(2))
+
+
+def test_limit_wrong_target_fails():
+    spec = replace(LIMIT_SPECS["limit-8x1"], target=RadConst(QQ(1, 2), 2))
+    rep = limit_verdict(spec, 1e-8)
+    assert not rep.passed
+    assert rep.exact == RadConst(QQ(1, 2), 3)
 
 
 def test_sun_s2_identity():
