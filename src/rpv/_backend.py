@@ -46,13 +46,6 @@ else:
     ZZ = int
     isqrt = math.isqrt
 
-import sys
-
-# digit runs legitimately convert very large integers to decimal text; the
-# CPython int<->str guard (default 4300 digits) would reject them
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(40_000_000)
-
 
 def qq_num(q) -> int:
     """Numerator of a backend rational as a stdlib int."""

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from ._backend import QQ, isqrt, qq_den, qq_num
-from .errors import DivergentInput, NonExactConstant, UnsupportedFamily
-from .hyper import converges, family_recurrence
-from .numerics import pi_oracle
+from .errors import DivergentInput, InvariantViolation, NonExactConstant, UnsupportedFamily
+from .hyper import converges, family_recurrence, tail_bound
+from .numerics import BigApprox, fixed_div, int_to_decimal_str, pi_oracle
 
 
 def _ev(poly: tuple, n: int) -> int:
@@ -56,23 +55,28 @@ class SplitNode:
 
     Invariant: T/Q = sum_{n in range} (a+bn) prod_{k in [lo,n)} r(k) and
     P/Q = prod_{k in range} r(k), so siblings merge by
-    P = P1*P2, Q = Q1*Q2, T = T1*Q2 + P1*T2.
+    P = P1*P2, Q = Q1*Q2, T = T1*Q2 + P1*T2.  A merge reads only the left
+    sibling's P, so P is None on a node split without it.
     """
 
-    P: int
+    P: int | None
     Q: int
     T: int
 
 
-def split_range(ratio: TermRatio, a: int, b: int, lo: int, hi: int) -> SplitNode:
+def split_range(
+    ratio: TermRatio, a: int, b: int, lo: int, hi: int, with_p: bool = True
+) -> SplitNode:
+    """Exact SplitNode for [lo, hi).  With with_p False the P products along
+    the right spine, which no merge reads, are not formed."""
     if hi - lo == 1:
         qn = _ev(ratio.q_poly, lo)
-        return SplitNode(_ev(ratio.p_poly, lo), qn, (a + b * lo) * qn)
+        return SplitNode(_ev(ratio.p_poly, lo) if with_p else None, qn, (a + b * lo) * qn)
     mid = (lo + hi) // 2
     left = split_range(ratio, a, b, lo, mid)
-    right = split_range(ratio, a, b, mid, hi)
+    right = split_range(ratio, a, b, mid, hi, with_p)
     return SplitNode(
-        left.P * right.P,
+        left.P * right.P if with_p else None,
         left.Q * right.Q,
         left.T * right.Q + left.P * right.T,
     )
@@ -83,7 +87,7 @@ def partial_sum(entry, n_terms: int):
     spec = getattr(entry, "spec", entry)
     ratio = term_ratio(spec)
     a, b, scale = _integer_weights(spec)
-    node = split_range(ratio, a, b, 0, n_terms)
+    node = split_range(ratio, a, b, 0, n_terms, False)
     return QQ(node.T, node.Q) / scale
 
 
@@ -97,11 +101,23 @@ def terms_needed(z, digits: int) -> int:
     return math.ceil(digits * math.log(10.0) / math.log(inv)) + 10
 
 
+# decimal guard digits of the first attempt; each retry adds more, and
+# terms for as many extra digits
+_GUARD_DIGITS = 10
+_RETRY_EXTRA = (0, 10, 40, 160)
+
+
 def pi_digits(entry, digits: int) -> str:
     """First `digits` significant decimal digits of pi from one catalog entry.
 
-    pi = c_r sqrt(m) / S with S the series value; sqrt is integer Newton on
-    m scaled by a guarded power of ten, so no floating point enters.
+    pi = c_r sqrt(m) d Q/T_true, where T/Q is the exact split of the first N
+    terms (weights scaled by d) and T_true adds the omitted tail, bounded by
+    hyper.tail_bound.  The value is enclosed in a certified interval at
+    working precision: Q/T by fixed_div (a Newton reciprocal certified by its
+    residual), sqrt(m) by _sqrt_fixed (a Newton reciprocal square root
+    certified by its residual), the tail as a relative error.  Digits are
+    returned only when both ends of the interval agree on all of them;
+    otherwise the run retries with more guard digits and terms.
     """
     spec = getattr(entry, "spec", entry)
     if digits < 1:
@@ -112,13 +128,82 @@ def pi_digits(entry, digits: int) -> str:
     if spec.c.t:
         raise NonExactConstant("digit computation needs a real radical constant")
     a, b, scale = _integer_weights(spec)
-    node = split_range(ratio, a, b, 0, terms_needed(spec.z, digits))
-    guard = digits + 10
-    root = isqrt(spec.c.m * 10 ** (2 * guard))
-    num = qq_num(spec.c.r) * qq_num(scale) * root * node.Q
-    den = qq_den(spec.c.r) * qq_den(scale) * node.T
-    scaled = num // den  # ~ pi * 10^guard
-    return str(scaled)[:digits]
+    for extra in _RETRY_EXTRA:
+        n = terms_needed(spec.z, digits + extra)
+        node = split_range(ratio, a, b, 0, n, False)
+        tail = tail_bound(spec.fam, a, b, spec.z, n)
+        out = _decide_digits(spec, scale, node, tail, digits, _GUARD_DIGITS + extra)
+        if out is not None:
+            return out
+    raise InvariantViolation(
+        f"{getattr(entry, 'id', spec)}: digits stay undecided at {digits} digits"
+    )
+
+
+def _top(x: int) -> tuple[int, int]:
+    """(m, e) with 0 <= x <= m * 2^e and m < 2^65."""
+    e = max(x.bit_length() - 64, 0)
+    return (x >> e) + (1 if e else 0), e
+
+
+def _sqrt_fixed(m: int, prec: int) -> BigApprox:
+    """sqrt(m) for a small integer m >= 1, certified by the residual of y.
+
+    y ~ Y = 2^(prec+L)/sqrt(m) with L = m.bit_length(), and
+    rho = 2^(2(prec+L)) - m y^2 gives |Y - y| = |rho|/(m (Y + y)) <= |rho|/(m y),
+    so m y / 2^L is sqrt(m) 2^prec within |rho|/(y 2^L) + 1 ulps.
+    """
+    L = m.bit_length()
+    y = _rsqrt(m, prec + L)
+    rho = (1 << (2 * (prec + L))) - m * y * y
+    return BigApprox((m * y) >> L, prec, 1 + -(-abs(rho) // (y << L)))
+
+
+def _rsqrt(m: int, p: int) -> int:
+    """y ~ 2^p/sqrt(m) by Newton's y += y (2^(2p) - m y^2)/2^(2p+1) from
+    the result at about half the precision (multiplications only)."""
+    if p <= 1000:
+        return int(isqrt((1 << (2 * p)) // m))
+    h = (p + m.bit_length()) // 2 + 4
+    yh = _rsqrt(m, h)
+    f = (1 << (2 * h)) - m * yh * yh
+    return (yh << (p - h)) + ((yh * f) >> (3 * h + 1 - p))
+
+
+def _decide_digits(spec, scale, node, tail, digits: int, guard: int):
+    """The digit string when the certified interval decides every digit, else None."""
+    prec = int((digits + guard) * 3.3219280948873626) + 1
+    c = spec.c.r * scale  # pi = c sqrt(m) Q/T_true
+    T = node.T if c > 0 else -node.T
+    if T <= 0:
+        raise InvariantViolation(f"{spec} does not sum to a positive value")
+    man, err = fixed_div(node.Q, T, prec)
+    ratio = BigApprox(man, prec, err)
+    v = (ratio * _sqrt_fixed(spec.c.m, prec)).mul_int(abs(qq_num(c))).div_int(qq_den(c))
+    # |pi - pi_N| <= pi_N t/(|T/Q| - t) <= V t A/(2^prec - t A) ulps, with
+    # V >= pi_N 2^prec, A >= (Q/T) 2^prec and t = tn/td the tail bound
+    tn, td = qq_num(tail), qq_den(tail)
+    vm, ve = _top(v.man + v.err)
+    am, ae = _top(man + err)
+    room = (td << prec) - ((tn * am) << ae)
+    if room <= 0:
+        return None
+    err = v.err + -(-((vm * am * tn) << (ve + ae)) // room)
+    lo, hi = v.man - err, v.man + err
+    one = 1 << prec
+    if hi < one or lo >= 10 * one:
+        raise InvariantViolation(f"{spec} does not sum to a value in [1, 10)")
+    if lo < one or hi >= 10 * one:
+        return None
+    # floor(lo 10^(digits-1)) == floor(hi 10^(digits-1)): same digits at both ends
+    p10 = 10 ** (digits - 1)
+    scaled = v.man * p10
+    top = scaled >> prec
+    frac = scaled - (top << prec)
+    spread = err * p10
+    if frac < spread or frac + spread >= one:
+        return None
+    return int_to_decimal_str(top)
 
 
 def oracle_digits(digits: int) -> str:
@@ -134,19 +219,3 @@ def digits_file_text(digit_string: str) -> str:
     if len(digit_string) == 1:
         return digit_string + "\n"
     return f"{digit_string[0]}.{digit_string[1:]}\n"
-
-
-def bench(entry, digits: int) -> dict:
-    """Timing report for one digit computation."""
-    spec = getattr(entry, "spec", entry)
-    n = terms_needed(spec.z, digits)
-    t0 = time.perf_counter()
-    out = pi_digits(entry, digits)
-    dt = time.perf_counter() - t0
-    return {
-        "id": getattr(entry, "id", str(spec)),
-        "digits": digits,
-        "terms": n,
-        "seconds": round(dt, 4),
-        "head": out[:12],
-    }

@@ -71,6 +71,8 @@ class VerifyReport:
 
 
 def _entry_from_json(rec: dict, certs: dict) -> CatalogEntry:
+    if not isinstance(rec, dict):
+        raise ParseError(f"catalog entry {rec!r:.40} is not a JSON object")
     try:
         fam = (
             domb()
@@ -143,13 +145,23 @@ def _check_invariants(entries: list) -> None:
                 )
 
 
-def _read_json(path: Path, what: str) -> dict:
+def _read_entries(path: Path, what: str, schema: str, kind: type):
+    """The "entries" of a JSON data file, refused with ParseError unless the
+    file is a readable object of the given schema whose entries are a kind."""
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except OSError as exc:
         raise ParseError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} {path} must hold a JSON object")
+    if doc.get("schema") != schema:
+        raise ParseError(f"{what} {path}: unknown schema {doc.get('schema')!r}")
+    entries = doc.get("entries")
+    if not isinstance(entries, kind):
+        raise ParseError(f"{what} {path} must hold \"entries\" as a JSON {kind.__name__}")
+    return entries
 
 
 def load_catalog(path: str | None = None) -> list:
@@ -161,17 +173,12 @@ def load_catalog(path: str | None = None) -> list:
     if path is None:
         path = os.environ.get("RPV_CATALOG") or str(DATA_DIR / "catalog.json")
     path = Path(path)
-    doc = _read_json(path, "catalog file")
-    if doc.get("schema") != "rpv-catalog/1":
-        raise ParseError(f"catalog file {path}: unknown schema {doc.get('schema')!r}")
+    records = _read_entries(path, "catalog file", "rpv-catalog/1", list)
     certs = {}
     cert_path = path.parent / "certificates.json"
     if cert_path.exists():
-        cdoc = _read_json(cert_path, "certificates file")
-        if cdoc.get("schema") != "rpv-certificates/1":
-            raise ParseError(f"{cert_path}: unknown schema {cdoc.get('schema')!r}")
-        certs = cdoc["entries"]
-    entries = [_entry_from_json(rec, certs) for rec in doc["entries"]]
+        certs = _read_entries(cert_path, "certificates file", "rpv-certificates/1", dict)
+    entries = [_entry_from_json(rec, certs) for rec in records]
     _check_invariants(entries)
     return entries
 

@@ -437,7 +437,102 @@ class BigApprox:
         frac = mag - (ip << self.prec)
         tail = (frac * 10**digits) >> self.prec
         sign = "-" if self.man < 0 else ""
-        return f"{sign}{ip}.{str(tail).zfill(digits)}"
+        return f"{sign}{ip}.{int_to_decimal_str(tail).zfill(digits)}"
+
+
+# ============================================================
+# multiplication-only kernels: Newton reciprocal and decimal output
+# ============================================================
+
+# below _SMALL_BITS exact // and Decimal(int) are cheap, below _STR_MAX_BITS
+# (about 3000 digits, under CPython's 4300-digit guard) so is str()
+_SMALL_BITS = 2000
+_STR_MAX_BITS = 10_000
+
+
+def newton_recip(b: int) -> int:
+    """r ~ 2^(2n)/b for b > 0 with n = b.bit_length(), by multiplications.
+
+    The reciprocal of b's top h ~ n/2 bits, shifted up, is refined by one
+    Newton step r += r (2^(2n) - b r)/2^(2n), which squares its relative
+    error.  The result is within a few units of 2^(2n)/b; callers certify
+    it by the exact residual 2^(2n) - b*r, since 2^(2n)/b - r = residual/b.
+    """
+    n = b.bit_length()
+    if n <= _SMALL_BITS:
+        return (1 << (2 * n)) // b
+    h = n // 2 + 2
+    rh = newton_recip(b >> (n - h))  # ~ 2^(n+h)/b, relative error ~ 2^-h
+    f = (1 << (n + h)) - b * rh
+    return (rh << (n - h)) + ((rh * f) >> (2 * h))
+
+
+def fixed_div(a: int, b: int, prec: int) -> tuple[int, int]:
+    """(man, err) with |a * 2^prec / b - man| <= err, for a >= 0 and b > 0.
+
+    a and b are shifted alike until b has prec + 64 bits, the quotient comes
+    from newton_recip, and err is the reciprocal's certified error plus, when
+    the shift cut bits off, the truncation bound max(1, a/b) 2^prec / b'.
+    Every division below has a quotient of a few words, so the cost is a
+    handful of multiplications.
+    """
+    k = prec + 64
+    s = b.bit_length() - k
+    if s > 0:
+        at, bt = a >> s, b >> s
+        # a/b lies in [at/(bt+1), (at+1)/bt]: within max(1, at/bt)/bt of at/bt
+    else:
+        at, bt = a << -s, b << -s
+    r = newton_recip(bt)
+    res = (1 << (2 * k)) - bt * r
+    r_err = -(-abs(res) // bt)  # |2^(2k)/bt - r| <= r_err
+    sh = 2 * k - prec
+    man = (at * r) >> sh
+    err = 1 + (-((-at * r_err) >> sh))
+    if s > 0:
+        err += -(-((1 << prec) + man + err) // bt)
+    return man, err
+
+
+def int_to_decimal_str(n: int) -> str:
+    """str(n) in subquadratic time, for any size of n.
+
+    CPython's int -> str is quadratic and refuses more than 4300 digits.
+    Large values are split in binary and rebuilt as a decimal.Decimal,
+    whose multiplication is subquadratic: the scheme of CPython 3.12's
+    _pylong.int_to_decimal_string.
+    """
+    if n.bit_length() <= _STR_MAX_BITS:
+        return str(n)
+    import decimal
+
+    D = decimal.Decimal
+    pow2 = {}
+
+    def w2pow(w):
+        if w not in pow2:
+            if w <= _SMALL_BITS:
+                pow2[w] = D(1 << w)
+            elif w - 1 in pow2:
+                pow2[w] = pow2[w - 1] + pow2[w - 1]
+            else:
+                pow2[w] = w2pow(w >> 1) * w2pow(w - (w >> 1))
+        return pow2[w]
+
+    def inner(x, w):
+        if w <= _SMALL_BITS:
+            return D(x)
+        w2 = w >> 1
+        hi = x >> w2
+        return inner(x - (hi << w2), w2) + inner(hi, w - w2) * w2pow(w2)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = 1
+        out = inner(abs(n), n.bit_length())
+    return ("-" if n < 0 else "") + str(out)
 
 
 def rad_to_bigapprox(c: RadConst, prec: int) -> BigApprox:
@@ -454,28 +549,41 @@ def rad_to_bigapprox(c: RadConst, prec: int) -> BigApprox:
 # pi oracle: AGM cross-checked against Machin
 # ============================================================
 
-def _atan_inv(k: int, prec: int) -> tuple[int, int]:
-    """(man, err_ulps) for atan(1/k) at scale 2^prec, k >= 2."""
-    num = (1 << prec) // k
-    k2 = k * k
-    total = 0
-    j = 0
-    ops = 1
-    while num:
-        term = num // (2 * j + 1)
-        total += -term if (j & 1) else term
-        num //= k2
-        j += 1
-        ops += 2
-    # each floor division loses < 1 ulp; truncated tail < 1 ulp (num == 0)
-    return total, ops + 2
+def _atan_split(k: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """(B, D, T) for terms [lo, hi) of atan(1/k) = (1/k) sum_j (-1/k^2)^j / (2j+1).
+
+    With q(0) = 1, q(j) = -k^2 and b(j) = 2j + 1, B = prod b and D = B prod q,
+    and the range sums to T/D times prod_{i<lo} 1/q(i).  Siblings merge by
+    B = B1*B2, D = D1*D2 and T = T1*D2 + B1*T2.
+    """
+    if hi - lo == 1:
+        b = 2 * lo + 1
+        return b, (-k * k * b if lo else 1), 1
+    mid = (lo + hi) // 2
+    b1, d1, t1 = _atan_split(k, lo, mid)
+    b2, d2, t2 = _atan_split(k, mid, hi)
+    return b1 * b2, d1 * d2, t1 * d2 + b1 * t2
 
 
 def machin_pi(prec: int) -> tuple[int, int]:
-    """(man, err_ulps) for pi = 16*atan(1/5) - 4*atan(1/239)."""
-    m5, e5 = _atan_inv(5, prec)
-    m239, e239 = _atan_inv(239, prec)
-    return 16 * m5 - 4 * m239, 16 * e5 + 4 * e239
+    """(man, err_ulps) for pi = 16*atan(1/5) - 4*atan(1/239) at scale 2^prec.
+
+    Both arctangent series are summed exactly by binary splitting and joined
+    into one fraction, which a single Newton division brings to fixed point.
+    Each series stops after N ~ prec/(2 log2 k) terms; being alternating
+    and decreasing, its tail is below the first omitted term
+    1/((2N+1) k^(2N+1)), which is added to the bound in ulps.
+    """
+    fracs = []
+    err = 0
+    for k, weight in ((5, 16), (239, 4)):
+        n = int(prec / (2 * _math.log2(k))) + 2
+        _, d, t = _atan_split(k, 0, n)
+        err += -(-(weight << prec) // ((2 * n + 1) * k ** (2 * n + 1)))
+        fracs.append((weight * t, k * d) if d > 0 else (-weight * t, -k * d))
+    (t5, d5), (t239, d239) = fracs
+    man, div_err = fixed_div(t5 * d239 - t239 * d5, d5 * d239, prec)
+    return man, err + div_err
 
 
 def agm_pi(prec: int) -> int:

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from rpv import binsplit
 from rpv._backend import QQ
 from rpv.binsplit import (
     SplitNode,
-    bench,
     digits_file_text,
     oracle_digits,
     partial_sum,
@@ -17,7 +17,7 @@ from rpv.binsplit import (
     terms_needed,
 )
 from rpv.catalog import load_catalog
-from rpv.errors import DivergentInput, NonExactConstant, UnsupportedFamily
+from rpv.errors import DivergentInput, InvariantViolation, NonExactConstant, UnsupportedFamily
 from rpv.hyper import coeff
 from rpv.numerics import RadConst
 from rpv.translate import SeriesSpec
@@ -68,6 +68,17 @@ def test_merge_matches_leaf_sums(entries):
     )
 
 
+def test_split_without_right_spine_p_keeps_q_and_t(entries):
+    for eid, n in [("s14-08", 1), ("s14-08", 2), ("s14-08", 37), ("s16-11", 300)]:
+        spec = entries[eid].spec
+        ratio = term_ratio(spec)
+        a, b = int(spec.a * 24), int(spec.b * 24)
+        full = split_range(ratio, a, b, 0, n)
+        lean = split_range(ratio, a, b, 0, n, False)
+        assert (lean.Q, lean.T) == (full.Q, full.T)
+        assert lean.P is None and full.P is not None
+
+
 def test_partial_sums_exact(entries):
     for eid in ["s12-04", "s14-01"]:
         spec = entries[eid].spec
@@ -107,6 +118,35 @@ def test_chudnovsky_ten_thousand(entries):
     assert pi_digits(entries["s16-11"], 10000) == oracle_digits(10000)
 
 
+# pi's digits 762-767 (0-based, counting the leading 3) are 999999, the
+# Feynman point: 762 digits end a hair below a carry into digit 761
+FEYNMAN_DIGITS = 762
+
+
+def test_undecided_interval_retries(entries, monkeypatch):
+    # with no guard digits the first interval straddles the carry
+    monkeypatch.setattr(binsplit, "_GUARD_DIGITS", 0)
+    calls = []
+    counted = binsplit.terms_needed
+
+    def spy(z, digits):
+        calls.append(digits)
+        return counted(z, digits)
+
+    monkeypatch.setattr(binsplit, "terms_needed", spy)
+    out = pi_digits(entries["s14-08"], FEYNMAN_DIGITS)
+    assert out == oracle_digits(FEYNMAN_DIGITS + 6)[:FEYNMAN_DIGITS]
+    assert oracle_digits(FEYNMAN_DIGITS + 6)[FEYNMAN_DIGITS:] == "999999"
+    assert calls == [FEYNMAN_DIGITS, FEYNMAN_DIGITS + binsplit._RETRY_EXTRA[1]]
+
+
+def test_never_emits_undecided_digits(entries, monkeypatch):
+    # a tail bound that swamps every attempt leaves the digits undecided
+    monkeypatch.setattr(binsplit, "tail_bound", lambda *args: QQ(1, 10**8))
+    with pytest.raises(InvariantViolation, match="undecided"):
+        pi_digits(entries["s16-11"], 20)
+
+
 def test_rejects_divergent_and_imaginary(entries):
     with pytest.raises(DivergentInput):
         pi_digits(entries["s12-05"], 10)
@@ -120,14 +160,6 @@ def test_rejects_divergent_and_imaginary(entries):
 def test_file_text_format():
     assert digits_file_text("3") == "3\n"
     assert digits_file_text("31415") == "3.1415\n"
-
-
-def test_bench_shape(entries):
-    rep = bench(entries["s16-11"], 100)
-    assert rep["digits"] == 100
-    assert rep["terms"] > 0
-    assert rep["head"] == "314159265358"
-    assert rep["seconds"] >= 0
 
 
 def test_pure_backend_long_run():

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import shutil
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -180,6 +183,30 @@ def test_unreadable_catalog_exits_2(monkeypatch, tmp_path):
     assert "cannot read certificates file" in err
 
 
+@pytest.mark.parametrize(
+    "catalog, certificates",
+    [
+        ("[]", None),
+        ('{"schema": "rpv-catalog/1"}', None),
+        (None, '{"schema": "rpv-certificates/1"}'),
+        ('{"schema": "rpv-catalog/1", "entries": [1]}', None),
+    ],
+    ids=["list", "no-entries", "certificates-no-entries", "entry-not-object"],
+)
+def test_misshapen_catalog_exits_2(monkeypatch, tmp_path, catalog, certificates):
+    path = tmp_path / "catalog.json"
+    if catalog is None:
+        shutil.copy(DATA_DIR / "catalog.json", path)
+    else:
+        path.write_text(catalog)
+    if certificates is not None:
+        (tmp_path / "certificates.json").write_text(certificates)
+    monkeypatch.setenv("RPV_CATALOG", str(path))
+    code, _, err = run_cli(["verify", "--id", "s12-04", "--digits", "10"])
+    assert code == 2, err
+    assert "internal error" not in err
+
+
 def test_sun_checks_run():
     for name in ["2.11", "rogers"]:
         code, out, _ = run_cli(["sun", "--check", name, "--digits", "15"])
@@ -266,3 +293,43 @@ def test_replay_oversized_radicand_exits_2(tmp_path):
     code, _, err = run_cli(argv + ["--replay", str(stored)])
     assert code == 2
     assert "exceeds the cap" in err
+
+
+# 5000 digits is past CPython's 4300-digit int <-> str guard, which rpv keeps
+HUGE_INT = "7" * 5000
+
+
+def _exits_2_quickly(argv):
+    t0 = time.perf_counter()
+    code, _, err = run_cli(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2, err
+    return err
+
+
+def test_huge_digit_count_exits_2_quickly():
+    _exits_2_quickly(["digits", "--id", "s16-11", "--digits", HUGE_INT])
+
+
+def test_replay_huge_integer_exits_2_quickly(tmp_path):
+    argv = ["translate", "--source", "start-1/2", "--rule", "kummer-sq", "--target-z", "-1/8"]
+    code, out, _ = run_cli(argv + ["--json"])
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    stored = tmp_path / "cert.json"
+    # as a rational string, then as a bare JSON number
+    stored.write_text(json.dumps(dict(cert, target=dict(cert["target"], a=HUGE_INT))))
+    _exits_2_quickly(argv + ["--replay", str(stored)])
+    stored.write_text(json.dumps(cert).replace('"target": {', f'"target": {{"n": {HUGE_INT}, ', 1))
+    _exits_2_quickly(argv + ["--replay", str(stored)])
+
+
+def test_import_keeps_int_str_guard():
+    script = (
+        "import sys\n"
+        "before = sys.get_int_max_str_digits()\n"
+        "import rpv.cli, rpv.binsplit, rpv.numerics\n"
+        "assert sys.get_int_max_str_digits() == before, sys.get_int_max_str_digits()\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -4,6 +4,9 @@ Frozen oracle values (classical constants, independent of the engine):
   pi to 80 digits, sin(pi/5) to 40 digits.
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 
@@ -205,6 +208,79 @@ def test_agm_machin_cross_agreement(digits):
 def test_pi_oracle_small_digits():
     pi = pi_oracle(1)
     assert pi.to_decimal(1).startswith("3.1")
+
+
+def _old_atan_inv(k: int, prec: int) -> tuple:
+    """The series summation machin_pi used before binary splitting."""
+    num = (1 << prec) // k
+    total, j, ops = 0, 0, 1
+    while num:
+        term = num // (2 * j + 1)
+        total += -term if (j & 1) else term
+        num //= k * k
+        j += 1
+        ops += 2
+    return total, ops + 2
+
+
+def _old_machin_pi(prec: int) -> tuple:
+    m5, e5 = _old_atan_inv(5, prec)
+    m239, e239 = _old_atan_inv(239, prec)
+    return 16 * m5 - 4 * m239, 16 * e5 + 4 * e239
+
+
+def _old_pi_oracle(digits: int) -> BigApprox:
+    """pi_oracle's construction over the old Machin summation."""
+    for attempt in range(4):
+        P = prec_for_digits(digits) + 32 * (attempt + 1)
+        agm = agm_pi(P)
+        mac, mac_err = _old_machin_pi(P)
+        err = abs(agm - mac) + mac_err + 2
+        target = prec_for_digits(digits)
+        shift = P - target
+        out = BigApprox(agm >> shift, target, (err >> shift) + 2)
+        if out.err_bound_lt_pow10(digits):
+            return out
+    raise ArithmeticError(digits)
+
+
+@pytest.mark.parametrize("prec", [4, 10, 64, 200, 3000, 20000])
+def test_machin_interval_contains_old_summation(prec):
+    man, err = machin_pi(prec)
+    old, old_err = _old_machin_pi(prec)
+    # both intervals hold pi, so they meet; the new bound is a few ulps
+    assert abs(man - old) <= err + old_err
+    assert err <= 8
+
+
+@pytest.mark.parametrize("digits", [1, 10, 45, 1000, 20005])
+def test_pi_oracle_bit_identical_to_old_construction(digits):
+    assert pi_oracle(digits) == _old_pi_oracle(digits)
+
+
+def test_oracle_error_reaches_json_unchanged(monkeypatch):
+    import rpv.catalog
+    import rpv.hyper
+    import rpv.numerics
+    import rpv.special
+    from rpv.cli import main
+
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        return json.loads(out.getvalue())
+
+    argvs = (
+        ["verify", "--id", "s14-08", "--digits", "40", "--jobs", "1", "--json"],
+        ["start", "--s", "1/5", "--digits", "30", "--json"],
+    )
+    now = [run(argv) for argv in argvs]
+    for mod in (rpv.catalog, rpv.hyper, rpv.numerics, rpv.special):
+        monkeypatch.setattr(mod, "pi_oracle", _old_pi_oracle)
+    assert [run(argv) for argv in argvs] == now
+    assert [r["digitsMatched"] for r in now[0]["reports"]] == [57]
+    assert now[1]["digitsAgreed"] == 56
 
 
 # ------------------------------------------------------------------
