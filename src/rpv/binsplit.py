@@ -55,13 +55,21 @@ class SplitNode:
 
     Invariant: T/Q = sum_{n in range} (a+bn) prod_{k in [lo,n)} r(k) and
     P/Q = prod_{k in range} r(k), so siblings merge by
-    P = P1*P2, Q = Q1*Q2, T = T1*Q2 + P1*T2.  A merge reads only the left
-    sibling's P, so P is None on a node split without it.
+    P = P1*P2, Q = Q1*Q2, T = T1*Q2 + P1*T2, after both P1 and Q2 are divided
+    by g = gcd(P1, Q2); that keeps both ratios and drops the factors the terms
+    cancel (Cheng, Hanrot, Thome, Zima & Zimmermann, ISSAC 2007).  A merge
+    reads only the left sibling's P, so P is None on a node split without it.
     """
 
     P: int | None
     Q: int
     T: int
+
+
+# a merge cancels gcd(P1, Q2) only while the smaller operand has at most this
+# many bits: CPython's gcd is quadratic, and above it the gcd costs more than
+# the smaller products save (sweep in CHANGES.md)
+_GCD_MAX_BITS = 16_000
 
 
 def split_range(
@@ -75,10 +83,15 @@ def split_range(
     mid = (lo + hi) // 2
     left = split_range(ratio, a, b, lo, mid)
     right = split_range(ratio, a, b, mid, hi, with_p)
+    lp, rq = left.P, right.Q
+    if min(lp.bit_length(), rq.bit_length()) <= _GCD_MAX_BITS:
+        g = math.gcd(lp, rq)
+        if g > 1:
+            lp, rq = lp // g, rq // g
     return SplitNode(
-        left.P * right.P if with_p else None,
-        left.Q * right.Q,
-        left.T * right.Q + left.P * right.T,
+        lp * right.P if with_p else None,
+        left.Q * rq,
+        left.T * rq + lp * right.T,
     )
 
 

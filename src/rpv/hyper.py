@@ -216,17 +216,20 @@ def converges(fam: CoeffFamily, z) -> bool:
 # --- exact geometric-polynomial tails -----------------------------------
 
 def _tail_power_sum(j: int, r, N: int):
-    """sum_{n>=N} n^j r^n for j in {0,1,2,3}, exactly (0 < r < 1)."""
+    """r^-N sum_{n>=N} n^j r^n for j in {0,1,2,3}, exactly (0 < r < 1).
+
+    The factor r^N is left out: its denominator is as long as the digit run,
+    so tail_bound multiplies by it once, after the small brackets are summed.
+    """
     one = 1 - r
-    rN = r**N
     if j == 0:
-        return rN / one
+        return 1 / one
     if j == 1:
-        return rN * (QQ(N) / one + r / one**2)
+        return QQ(N) / one + r / one**2
     if j == 2:
-        return rN * (QQ(N * N) / one + (2 * N + 1) * r / one**2 + 2 * r**2 / one**3)
+        return QQ(N * N) / one + (2 * N + 1) * r / one**2 + 2 * r**2 / one**3
     if j == 3:
-        return rN * (
+        return (
             QQ(N**3) / one
             + (3 * N * N + 3 * N + 1) * r / one**2
             + (6 * N + 6) * r**2 / one**3
@@ -249,7 +252,7 @@ def tail_bound(fam: CoeffFamily, a, b, z, N: int):
         weights = {0: aa, 1: bb}
     else:  # deg == 1
         weights = {0: aa, 1: aa + bb, 2: bb}
-    return sum(w * _tail_power_sum(j, r, N) for j, w in weights.items() if w)
+    return r**N * sum(w * _tail_power_sum(j, r, N) for j, w in weights.items() if w)
 
 
 # ============================================================

@@ -31,13 +31,21 @@ from .errors import IncompatibleRadicals, ParseError
 # rational parsing / formatting
 # ============================================================
 
+def _show_literal(text: str) -> str:
+    """repr of text for an error message; a long one is cut to 40 characters
+    plus its length, so a huge literal cannot flood stderr."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str):
     """Parse "p/q" or "p" into an exact rational.  Decimals are rejected."""
     s = text.strip()
     if not s:
         raise ParseError("empty rational literal")
     if any(ch in s for ch in ".eE"):
-        raise ParseError(f"decimal literals are not accepted: {text!r}")
+        raise ParseError(f"decimal literals are not accepted: {_show_literal(text)}")
     parts = s.split("/")
     try:
         if len(parts) == 1:
@@ -45,11 +53,11 @@ def parse_rational(text: str):
         if len(parts) == 2:
             num, den = int(parts[0]), int(parts[1])
             if den == 0:
-                raise ParseError(f"zero denominator: {text!r}")
+                raise ParseError(f"zero denominator: {_show_literal(text)}")
             return QQ(num, den)
     except ValueError as exc:
-        raise ParseError(f"malformed rational: {text!r}") from exc
-    raise ParseError(f"malformed rational: {text!r}")
+        raise ParseError(f"malformed rational: {_show_literal(text)}") from exc
+    raise ParseError(f"malformed rational: {_show_literal(text)}")
 
 
 def format_rational(q) -> str:

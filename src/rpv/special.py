@@ -511,39 +511,56 @@ def limit_verdict(
 # Sun's convolution identities
 # ============================================================
 
-def _conv_q(n: int) -> int:
-    """C(2n,n) S_n^{(2)}(4) under the convolution definition."""
-    return sum(
-        comb(2 * k, k)
-        * comb(4 * k, 2 * k)
-        * comb(4 * (n - k), 2 * (n - k))
-        * comb(2 * (n - k), n - k)
-        for k in range(n + 1)
+def _binomial_tables(m: int) -> tuple[list, list]:
+    """c[j] = C(2j,j) for j <= 2m and A[j] = C(2j,j) C(4j,2j) for j <= m."""
+    c = [comb(2 * j, j) for j in range(2 * m + 1)]
+    return c, [c[j] * c[2 * j] for j in range(m + 1)]
+
+
+def _terminating_sum(t0: int, num, den, n: int) -> int:
+    """Sum of the terms of a terminating hypergeometric sum, from term 0 and
+    the term ratio num(k)/den(k); every term must be an exact integer."""
+    total = t = t0
+    for k in range(n):
+        t, rem = divmod(t * num(k), den(k))
+        if rem:
+            raise InvariantViolation(
+                f"term {k + 1} of a terminating sum at n = {n} is not an integer"
+            )
+        total += t
+    return total
+
+
+def _terminating_3f2(n: int, c: list) -> int:
+    """4^n C(2n,n)^2 3F2(1/2,1/2,-n; 1,1/2-n; 1); term k is
+    4^(n-k) C(2k,k)^2 C(2n-2k,n-k) C(2n,n).  c[j] = C(2j,j)."""
+    return _terminating_sum(
+        4**n * c[n] ** 2,
+        lambda k: (2 * k + 1) ** 2 * (k - n),
+        lambda k: 2 * (k + 1) ** 2 * (2 * k + 1 - 2 * n),
+        n,
     )
 
 
-def _terminating_3f2(n: int) -> int:
-    """4^n C(2n,n)^2 3F2(1/2,1/2,-n; 1,1/2-n; 1), an exact integer."""
-    half = QQ(1, 2)
-    f = hyper_series((half, half, QQ(-n)), (QQ(1), half - n), n)
-    out = 4**n * comb(2 * n, n) ** 2 * sum(f.coeffs)
-    assert qq_den(out) == 1
-    return int(out)
+def _terminating_4f3(n: int, c: list) -> int:
+    """C(2n,n) C(4n,2n) 4F3(1/4,3/4,-n,-n; 1,1/4-n,3/4-n; 1).  c[j] = C(2j,j)."""
+    return _terminating_sum(
+        c[n] * c[2 * n],
+        lambda k: (4 * k + 1) * (4 * k + 3) * (k - n) ** 2,
+        lambda k: (k + 1) ** 2 * (4 * k + 1 - 4 * n) * (4 * k + 3 - 4 * n),
+        n,
+    )
 
 
-def _terminating_4f3(n: int) -> int:
-    """C(2n,n) C(4n,2n) 4F3(1/4,3/4,-n,-n; 1,1/4-n,3/4-n; 1), exactly."""
-    q1, q3 = QQ(1, 4), QQ(3, 4)
-    f = hyper_series((q1, q3, QQ(-n), QQ(-n)), (QQ(1), q1 - n, q3 - n), n)
-    out = comb(2 * n, n) * comb(4 * n, 2 * n) * sum(f.coeffs)
-    assert qq_den(out) == 1
-    return int(out)
+def _conv_q(n: int, A: list) -> int:
+    """C(2n,n) S_n^{(2)}(4) under the convolution definition, with
+    A[j] = C(2j,j) C(4j,2j)."""
+    return sum(A[k] * A[n - k] for k in range(n + 1))
 
 
-def _printed_q(n: int) -> int:
-    """C(2n,n) S_n^{(2)}(4) with S as commonly printed inline."""
-    s = sum(comb(2 * k, k) * comb(2 * (n - k), n - k) * 4 ** (n - k) for k in range(n + 1))
-    return comb(2 * n, n) * s
+def _printed_q(n: int, c: list) -> int:
+    """C(2n,n) S_n^{(2)}(4) with S as commonly printed inline.  c[j] = C(2j,j)."""
+    return c[n] * sum(c[k] * c[n - k] * 4 ** (n - k) for k in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -568,15 +585,16 @@ class S2Report:
 
 def sun_S2_identity(n_max: int) -> S2Report:
     """Convolution vs both terminating closed forms, exactly, for n <= n_max."""
+    c, A = _binomial_tables(n_max)
     printed_bad = None
     for n in range(n_max + 1):
-        qn = _conv_q(n)
-        if qn != _terminating_3f2(n) or qn != _terminating_4f3(n):
+        qn = _conv_q(n, A)
+        if qn != _terminating_3f2(n, c) or qn != _terminating_4f3(n, c):
             return S2Report(
                 False, n, n, printed_bad is None, printed_bad,
                 f"closed forms disagree with the convolution at n = {n}",
             )
-        if printed_bad is None and qn != _printed_q(n):
+        if printed_bad is None and qn != _printed_q(n, c):
             printed_bad = n
     return S2Report(
         passed=True,
@@ -620,8 +638,9 @@ def sun_2_11(digits: int = 30) -> Sun211Report:
     """sum (4k+1) C(2k,k) S_k^{(2)}(4) (-192)^-k = sqrt(3)/pi, three ways."""
     fam = square2F1(QQ(1, 4))
     target = RadConst(QQ(1), 3)
+    _, A = _binomial_tables(40)
     rewrite_ok = all(
-        QQ(_conv_q(k), 64**k) == coeff(fam, k) for k in range(41)
+        QQ(_conv_q(k, A), 64**k) == coeff(fam, k) for k in range(41)
     )
     value = eval_numeric(fam, 1, 4, QQ(-1, 3), digits + 5)
     passed, agreed = _against_pi(value, target, digits)

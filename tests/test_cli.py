@@ -319,9 +319,9 @@ def test_replay_huge_integer_exits_2_quickly(tmp_path):
     stored = tmp_path / "cert.json"
     # as a rational string, then as a bare JSON number
     stored.write_text(json.dumps(dict(cert, target=dict(cert["target"], a=HUGE_INT))))
-    _exits_2_quickly(argv + ["--replay", str(stored)])
+    assert len(_exits_2_quickly(argv + ["--replay", str(stored)])) < 200
     stored.write_text(json.dumps(cert).replace('"target": {', f'"target": {{"n": {HUGE_INT}, ', 1))
-    _exits_2_quickly(argv + ["--replay", str(stored)])
+    assert len(_exits_2_quickly(argv + ["--replay", str(stored)])) < 200
 
 
 def test_import_keeps_int_str_guard():

@@ -17,6 +17,7 @@ from rpv.hyper import (
     converges,
     domb,
     eval_numeric,
+    family_envelope,
     family_recurrence,
     family_series,
     gauss_half_check,
@@ -220,8 +221,35 @@ def test_tail_power_sum_against_brute_force():
     for j in (0, 1, 2, 3):
         for N in (0, 3, 7):
             brute = sum(QQ(n) ** j * r**n for n in range(N, N + 200))
-            bound = _tail_power_sum(j, r, N)
+            bound = r**N * _tail_power_sum(j, r, N)
             assert brute <= bound <= brute + QQ(1, 10**20)
+
+
+def _tail_bound_bracketwise(fam, a, b, z, N):
+    """tail_bound with r^N inside each power sum, as first written."""
+    R, deg = family_envelope(fam)
+    r = abs(QQ(z)) * R
+    one = 1 - r
+    sums = [
+        r**N / one,
+        r**N * (QQ(N) / one + r / one**2),
+        r**N * (QQ(N * N) / one + (2 * N + 1) * r / one**2 + 2 * r**2 / one**3),
+    ]
+    aa, bb = abs(QQ(a)), abs(QQ(b))
+    weights = {0: aa, 1: bb} if deg == 0 else {0: aa, 1: aa + bb, 2: bb}
+    return sum(w * sums[j] for j, w in weights.items() if w)
+
+
+def test_tail_bound_factors_r_power_exactly():
+    cases = [
+        (hyper3F2(QQ(1, 6)), 13591409, 545140134, QQ(-1, 151931373056000), 7062),
+        (hyper3F2(QQ(1, 4)), 1, 8, QQ(1, 2304), 20970),
+        (hyper3F2(QQ(1, 2)), QQ(1, 3), 2, QQ(-1, 8), 0),
+        (square2F1(QQ(1, 3)), 1, 5, QQ(1, 54), 40),
+        (domb(), 2, 7, QQ(1, 100), 17),
+    ]
+    for fam, a, b, z, N in cases:
+        assert tail_bound(fam, a, b, z, N) == _tail_bound_bracketwise(fam, a, b, z, N)
 
 
 def test_tail_bound_dominates_actual_tail():

@@ -56,6 +56,17 @@ def test_parse_rational_rejects(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "bad", ["7" * 5000, "7" * 4000 + "/0", "7" * 5000 + ".5", "7" * 5000 + "/x", "1/" + "7" * 5000]
+)
+def test_parse_rational_caps_long_literals(bad):
+    # a long literal is echoed as a short prefix and its length
+    with pytest.raises(ParseError) as exc:
+        parse_rational(bad)
+    assert len(str(exc.value)) < 200
+    assert f"({len(bad)} characters)" in str(exc.value)
+
+
 # ------------------------------------------------------------------
 # RadConst algebra
 # ------------------------------------------------------------------

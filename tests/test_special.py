@@ -3,12 +3,14 @@
 import math
 import random
 from dataclasses import replace
+from math import comb
 
 import pytest
 
 from rpv._backend import QQ
 from rpv.errors import InvariantViolation, NoConvergenceDetected
-from rpv.hyper import gauss_half_check, hyper3F2, square2F1
+from rpv import special
+from rpv.hyper import gauss_half_check, hyper3F2, hyper_series, square2F1
 from rpv.numerics import RadConst
 from rpv.poly import RatFun
 from rpv.special import (
@@ -201,6 +203,56 @@ def test_sun_s2_identity():
     assert rep.first_mismatch is None
     assert not rep.printed_def_consistent
     assert rep.printed_first_mismatch == 1
+
+
+def _ref_conv_q(n):
+    return sum(
+        comb(2 * k, k)
+        * comb(4 * k, 2 * k)
+        * comb(4 * (n - k), 2 * (n - k))
+        * comb(2 * (n - k), n - k)
+        for k in range(n + 1)
+    )
+
+
+def _ref_terminating_3f2(n):
+    half = QQ(1, 2)
+    f = hyper_series((half, half, QQ(-n)), (QQ(1), half - n), n)
+    return 4**n * comb(2 * n, n) ** 2 * sum(f.coeffs)
+
+
+def _ref_terminating_4f3(n):
+    q1, q3 = QQ(1, 4), QQ(3, 4)
+    f = hyper_series((q1, q3, QQ(-n), QQ(-n)), (QQ(1), q1 - n, q3 - n), n)
+    return comb(2 * n, n) * comb(4 * n, 2 * n) * sum(f.coeffs)
+
+
+def _ref_printed_q(n):
+    s = sum(comb(2 * k, k) * comb(2 * (n - k), n - k) * 4 ** (n - k) for k in range(n + 1))
+    return comb(2 * n, n) * s
+
+
+def test_s2_rows_match_comb_and_fraction_definitions():
+    c, A = special._binomial_tables(120)
+    for n in range(121):
+        assert special._conv_q(n, A) == _ref_conv_q(n)
+        assert special._terminating_3f2(n, c) == _ref_terminating_3f2(n)
+        assert special._terminating_4f3(n, c) == _ref_terminating_4f3(n)
+        assert special._printed_q(n, c) == _ref_printed_q(n)
+
+
+def test_s2_identity_reports_corrupted_row(monkeypatch):
+    exact = special._terminating_4f3
+    monkeypatch.setattr(special, "_terminating_4f3", lambda n, c: exact(n, c) + (n == 57))
+    rep = sun_S2_identity(120)
+    assert not rep.passed
+    assert rep.to_json()["firstMismatch"] == 57
+    assert rep.checked == 57
+
+
+def test_terminating_sum_refuses_fractional_term():
+    with pytest.raises(InvariantViolation, match="not an integer"):
+        special._terminating_sum(3, lambda k: 1, lambda k: 2, 1)
 
 
 def test_sun_2_11():
