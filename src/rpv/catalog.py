@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
 from ._backend import QQ
 from .errors import InvariantViolation, ParseError
-from .hyper import domb, eval_numeric, family_envelope, parse_family
+from .hyper import Report, domb, eval_numeric, family_envelope, parse_family
 from .numerics import (
     BigApprox,
     RadConst,
@@ -22,7 +22,7 @@ from .numerics import (
     rad_to_bigapprox,
 )
 from .parallel import parallel_map
-from .translate import Certificate, SeriesSpec, replay
+from .translate import Certificate, SeriesSpec, json_field, replay
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 STATUSES = ("proved-start", "proved-translation", "numeric-only", "divergent-certificate")
@@ -49,7 +49,7 @@ class CatalogEntry:
 
 
 @dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Report):
     id: str
     status: str
     computed: str
@@ -57,17 +57,6 @@ class VerifyReport:
     digits_matched: int
     passed: bool
     detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "computed": self.computed,
-            "target": self.target,
-            "digitsMatched": self.digits_matched,
-            "pass": self.passed,
-            "detail": self.detail,
-        }
 
 
 def _entry_from_json(rec: dict, certs: dict) -> CatalogEntry:
@@ -90,6 +79,9 @@ def _entry_from_json(rec: dict, certs: dict) -> CatalogEntry:
                 int(rec["c_t"]),
             ),
         )
+        wrappers = certs.get(rec["id"], [])
+        if not (isinstance(wrappers, list) and all(isinstance(w, dict) for w in wrappers)):
+            raise ParseError("its certificates must be a list of JSON objects")
         entry = CatalogEntry(
             id=rec["id"],
             spec=spec,
@@ -98,9 +90,9 @@ def _entry_from_json(rec: dict, certs: dict) -> CatalogEntry:
             paper_line=int(rec["paper_line"]),
             note=rec.get("note", ""),
             discrepancy_note=rec.get("discrepancy_note", ""),
-            certificates=tuple(certs.get(rec["id"], ())),
+            certificates=tuple(wrappers),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ParseError) as exc:
         raise ParseError(f"catalog entry {rec.get('id', '?')}: {exc}") from exc
     if entry.status not in STATUSES:
         raise ParseError(f"catalog entry {entry.id}: unknown status {entry.status!r}")
@@ -145,15 +137,28 @@ def _check_invariants(entries: list) -> None:
                 )
 
 
+def read_json(path, what: str):
+    """The JSON value held by a file, or ParseError naming the file when it
+    cannot be read, is not JSON, holds a number literal longer than CPython's
+    int guard (4300 digits) allows, or nests deeper than the parser recurses."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{what} {path}: a number literal is too long") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what} {path} is nested too deeply") from exc
+
+
 def _read_entries(path: Path, what: str, schema: str, kind: type):
     """The "entries" of a JSON data file, refused with ParseError unless the
     file is a readable object of the given schema whose entries are a kind."""
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, what)
     if not isinstance(doc, dict):
         raise ParseError(f"{what} {path} must hold a JSON object")
     if doc.get("schema") != schema:
@@ -219,11 +224,12 @@ def _verify_numeric(entry: CatalogEntry, digits: int, pi: BigApprox) -> VerifyRe
 
 def _replay_transport(entry: CatalogEntry, wrapper: dict, entries) -> tuple:
     """Replay one stored transport certificate; returns (ok, detail)."""
-    cert = Certificate.from_json(wrapper["certificate"])
-    rep = replay(cert)
+    stored = json_field(wrapper, "certificate", dict)
+    cert = Certificate.from_json(stored)
+    rep = replay(stored)
     if not rep.passed:
         return False, f"replay failed: {rep.detail}"
-    src_id = wrapper.get("source_id", "")
+    src_id = json_field(wrapper, "source_id", str)
     if entries is not None and src_id:
         src = get_entry(entries, src_id)
         if not (cert.source == src.spec or cert.source.same_identity(src.spec)):
@@ -249,6 +255,13 @@ def _replay_transport(entry: CatalogEntry, wrapper: dict, entries) -> tuple:
 
 
 def _verify_certificates(entry: CatalogEntry, entries) -> VerifyReport:
+    try:
+        return _check_certificates(entry, entries)
+    except ParseError as exc:
+        raise ParseError(f"certificate of {entry.id}: {exc}") from exc
+
+
+def _check_certificates(entry: CatalogEntry, entries) -> VerifyReport:
     details = []
     ok = True
     transports = [c for c in entry.certificates if c.get("kind") == "transport"]
@@ -257,11 +270,12 @@ def _verify_certificates(entry: CatalogEntry, entries) -> VerifyReport:
         good, detail = _replay_transport(entry, wrapper, entries)
         ok = ok and good
         details.append(detail)
-        gate_digits = max(gate_digits, wrapper["certificate"]["gate"]["agreed"] or 0)
+        if good:  # then the stored gate is the re-derived one
+            gate_digits = max(gate_digits, wrapper["certificate"]["gate"]["agreed"] or 0)
     for wrapper in entry.certificates:
         if wrapper.get("kind") != "divergence":
             continue
-        edge = parse_rational(wrapper["edge"])
+        edge = parse_rational(json_field(wrapper, "edge", str))
         if edge != entry.edge or edge < 1:
             ok = False
             details.append("divergence certificate edge mismatch")
@@ -298,12 +312,8 @@ def verify_entry(
         report = _verify_numeric(entry, digits, pi)
         if any(c.get("kind") == "transport" for c in entry.certificates):
             cert_rep = _verify_certificates(entry, entries)
-            report = VerifyReport(
-                id=report.id,
-                status=report.status,
-                computed=report.computed,
-                target=report.target,
-                digits_matched=report.digits_matched,
+            report = replace(
+                report,
                 passed=report.passed and cert_rep.passed,
                 detail=report.detail + "; " + cert_rep.detail,
             )

@@ -5,22 +5,20 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 from .binsplit import digits_file_text, oracle_digits, pi_digits
-from .catalog import get_entry, load_catalog, verify_all
+from .catalog import get_entry, load_catalog, read_json, verify_all
 from .errors import (
     ArgumentMismatch,
     DivergentInput,
     GateRefused,
-    InvariantViolation,
     NoConvergenceDetected,
     NonExactConstant,
     ParseError,
     RpvError,
     UnsupportedFamily,
 )
-from .numerics import parse_rational
+from .numerics import _show_literal, parse_rational
 from .parallel import parallel_map
 from .special import (
     LIMIT_SPECS,
@@ -33,22 +31,6 @@ from .special import (
 )
 from .transforms import get_rule, rule_ids, verify_rule_formal
 from .translate import Certificate, replay, translate
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    digits: int = 30
-    order: int = 64
-    json_output: bool = False
-    parallelism: int = 1
-
-    def __post_init__(self):
-        if self.digits < 1:
-            raise InvariantViolation("digits must be at least 1")
-        if self.order < 8:
-            raise InvariantViolation("order must be at least 8")
-        if self.parallelism < 1:
-            raise InvariantViolation("jobs must be a positive integer")
 
 
 def render_json(payload: dict) -> str:
@@ -75,6 +57,24 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _RATIONAL_MATCHER
 
 
+def _int_at_least(least: int):
+    """argparse type for an integer flag with a minimum; a rejected literal
+    is echoed cut short, so a huge one cannot flood stderr."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {_show_literal(text)}"
+            ) from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="rpv",
@@ -84,17 +84,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check catalog entries against the pi oracle")
     p.add_argument("--id", dest="entry_id", help="single catalog entry id (default: all)")
-    p.add_argument("--digits", type=int, required=True, help="decimal digits to match")
+    p.add_argument(
+        "--digits", type=_int_at_least(1), required=True, help="decimal digits to match"
+    )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_int_at_least(1), default=_default_jobs())
 
     rules = sub.add_parser("rules", help="transformation-rule operations")
     rsub = rules.add_subparsers(dest="rules_command", required=True)
     p = rsub.add_parser("verify", help="formal power-series check of shipped rules")
-    p.add_argument("--order", type=int, required=True, help="truncation order")
+    p.add_argument("--order", type=_int_at_least(8), required=True, help="truncation order")
     p.add_argument("--rule", dest="rule_id", help="single rule id (default: all)")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_int_at_least(1), default=_default_jobs())
 
     p = sub.add_parser("translate", help="transport a catalog spec along a rule")
     p.add_argument("--source", required=True, help="catalog entry id")
@@ -107,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("digits", help="compute pi digits from a catalog entry")
     p.add_argument("--id", dest="entry_id", required=True)
-    p.add_argument("--digits", type=int, required=True)
+    p.add_argument("--digits", type=_int_at_least(1), required=True)
     p.add_argument("--out", help="write the digit text to this file")
     p.add_argument("--check", action="store_true", help="compare against the AGM oracle")
 
@@ -123,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true")
     p.add_argument(
-        "--jobs", type=int, default=_default_jobs(), help="ladder processes"
+        "--jobs", type=_int_at_least(1), default=_default_jobs(), help="ladder processes"
     )
 
     p = sub.add_parser("sun", help="run one of the conjecture checks")
@@ -135,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--digits",
-        type=int,
+        type=_int_at_least(1),
         required=True,
         help="working digits (for s2-identity: rows of the identity to check)",
     )
@@ -143,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("start", help="check the starting formula at a rational s")
     p.add_argument("--s", required=True, help='rational in (0,1), strictly "p/q"')
-    p.add_argument("--digits", type=int, required=True)
+    p.add_argument("--digits", type=_int_at_least(1), required=True)
     p.add_argument("--json", action="store_true")
 
     return top
@@ -153,16 +155,16 @@ def _build_parser() -> argparse.ArgumentParser:
 # subcommand runners
 # ============================================================
 
-def _run_verify(args, config: RunConfig) -> int:
+def _run_verify(args) -> int:
     ids = [args.entry_id] if args.entry_id else None
     if ids:
         get_entry(load_catalog(), ids[0])
-    reports = verify_all(config.digits, ids=ids, jobs=config.parallelism)
+    reports = verify_all(args.digits, ids=ids, jobs=args.jobs)
     ok = all(r.passed for r in reports)
-    if config.json_output:
+    if args.json:
         _emit(
             {
-                "digits": config.digits,
+                "digits": args.digits,
                 "pass": ok,
                 "reports": [r.to_json() for r in reports],
             }
@@ -174,7 +176,7 @@ def _run_verify(args, config: RunConfig) -> int:
         npass = sum(1 for r in reports if r.passed)
         print(
             f"{len(reports)} entries, {npass} pass, {len(reports) - npass} fail"
-            f" ({config.digits} digits)"
+            f" ({args.digits} digits)"
         )
     return 0 if ok else 1
 
@@ -184,17 +186,17 @@ def _rule_check(rid: str, order: int) -> tuple:
     return rid, rep.passed, rep.detail
 
 
-def _run_rules_verify(args, config: RunConfig) -> int:
+def _run_rules_verify(args) -> int:
     chosen = [args.rule_id] if args.rule_id else rule_ids()
     rules = {rid: get_rule(rid) for rid in chosen}
     rows = parallel_map(
-        _rule_check, [(rid, config.order) for rid in chosen], config.parallelism
+        _rule_check, [(rid, args.order) for rid in chosen], args.jobs
     )
     ok = all(passed for _, passed, _ in rows)
-    if config.json_output:
+    if args.json:
         _emit(
             {
-                "order": config.order,
+                "order": args.order,
                 "pass": ok,
                 "reports": [
                     {
@@ -210,7 +212,7 @@ def _run_rules_verify(args, config: RunConfig) -> int:
     else:
         for rid, passed, detail in rows:
             flag = "pass" if passed else "FAIL"
-            line = f"{rid:<14} {flag:<4} order={config.order}"
+            line = f"{rid:<14} {flag:<4} order={args.order}"
             if "warning" in rules[rid].tags:
                 line += f"  caveat: {rules[rid].note}"
             print(line)
@@ -245,7 +247,7 @@ def _print_certificate(cert: Certificate) -> None:
         print(f"  note    {note}")
 
 
-def _run_translate(args, config: RunConfig) -> int:
+def _run_translate(args) -> int:
     entries = load_catalog()
     entry = get_entry(entries, args.source)
     rule = get_rule(args.rule)
@@ -255,13 +257,13 @@ def _run_translate(args, config: RunConfig) -> int:
     ok = True
     replay_result = None
     if args.replay_file:
-        with open(args.replay_file) as fh:
-            stored = Certificate.from_json(json.load(fh))
-        rep = replay(stored)
+        doc = read_json(args.replay_file, "certificate file")
+        stored = Certificate.from_json(doc)
+        rep = replay(doc)
         matches = stored.target.same_identity(cert.target)
         ok = rep.passed and matches
         replay_result = {"pass": rep.passed, "matchesDerivation": matches, "detail": rep.detail}
-    if config.json_output:
+    if args.json:
         payload = {"certificate": cert.to_json(), "pass": ok}
         if replay_result is not None:
             payload["replay"] = replay_result
@@ -278,28 +280,28 @@ def _run_translate(args, config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _run_digits(args, config: RunConfig) -> int:
+def _run_digits(args) -> int:
     entries = load_catalog()
     entry = get_entry(entries, args.entry_id)
-    digits = pi_digits(entry, config.digits)
+    digits = pi_digits(entry, args.digits)
     text = digits_file_text(digits)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"wrote {config.digits} digits from {entry.id} to {args.out}")
+        print(f"wrote {args.digits} digits from {entry.id} to {args.out}")
     else:
         sys.stdout.write(text)
     if args.check:
-        reference = oracle_digits(config.digits)
+        reference = oracle_digits(args.digits)
         if digits != reference:
             mism = next(i for i, (x, y) in enumerate(zip(digits, reference)) if x != y)
             print(f"check: FAIL first mismatch at digit {mism + 1}")
             return 1
-        print(f"check: all {config.digits} digits match the oracle")
+        print(f"check: all {args.digits} digits match the oracle")
     return 0
 
 
-def _run_limit(args, config: RunConfig) -> int:
+def _run_limit(args) -> int:
     if args.limit_id not in LIMIT_SPECS:
         known = ", ".join(sorted(LIMIT_SPECS))
         raise ParseError(f"no limit spec with id {args.limit_id!r} (known: {known})")
@@ -307,9 +309,9 @@ def _run_limit(args, config: RunConfig) -> int:
         LIMIT_SPECS[args.limit_id],
         args.tolerance,
         ladder=args.ladder,
-        jobs=config.parallelism,
+        jobs=args.jobs,
     )
-    if config.json_output:
+    if args.json:
         payload = rep.to_json()
         payload["id"] = args.limit_id
         _emit(payload)
@@ -326,16 +328,16 @@ def _run_limit(args, config: RunConfig) -> int:
     return 0 if rep.passed else 1
 
 
-def _run_sun(args, config: RunConfig) -> int:
+def _run_sun(args) -> int:
     if args.check == "2.11":
-        rep = sun_2_11(config.digits)
+        rep = sun_2_11(args.digits)
     elif args.check == "4.14":
-        rep = sun_4_14(config.digits)
+        rep = sun_4_14(args.digits)
     elif args.check == "rogers":
-        rep = rogers_domb_check(config.digits)
+        rep = rogers_domb_check(args.digits)
     else:
-        rep = sun_S2_identity(config.digits)
-    if config.json_output:
+        rep = sun_S2_identity(args.digits)
+    if args.json:
         payload = rep.to_json()
         payload["check"] = args.check
         _emit(payload)
@@ -346,9 +348,9 @@ def _run_sun(args, config: RunConfig) -> int:
     return 0 if rep.passed else 1
 
 
-def _run_start(args, config: RunConfig) -> int:
-    rep = starting_formula(parse_rational(args.s), config.digits)
-    if config.json_output:
+def _run_start(args) -> int:
+    rep = starting_formula(parse_rational(args.s), args.digits)
+    if args.json:
         _emit(rep.to_json())
     else:
         flag = "pass" if rep.passed else "FAIL"
@@ -380,17 +382,7 @@ def main(argv=None) -> int:
     if name == "rules":
         name = f"rules {args.rules_command}"
     try:
-        config = RunConfig(
-            digits=getattr(args, "digits", 30),
-            order=getattr(args, "order", 64),
-            json_output=bool(getattr(args, "json", False)),
-            parallelism=getattr(args, "jobs", 1),
-        )
-    except InvariantViolation as exc:
-        print(f"rpv: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _DISPATCH[name](args, config)
+        return _DISPATCH[name](args)
     except (ParseError, ArgumentMismatch, ValueError, FileNotFoundError) as exc:
         print(f"rpv: {exc}", file=sys.stderr)
         return 2

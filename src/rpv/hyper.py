@@ -35,13 +35,13 @@ are handled by certificates, never by summation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ._backend import QQ, qq_den, qq_num
 from .errors import DivergentInput, ParseError
 from .fps import Series
-from .numerics import BigApprox, prec_for_digits, pi_oracle, rad_to_bigapprox, sin_pi
-from .numerics import RadConst
+from .numerics import BigApprox, RadConst, format_rational, parse_rational, pi_oracle
+from .numerics import _show_literal, prec_for_digits, rad_to_bigapprox, sin_pi
 from .poly import poly, poly_eval, poly_mul
 
 # ============================================================
@@ -88,8 +88,6 @@ class CoeffFamily:
     def __str__(self) -> str:
         if self.kind == "domb":
             return "domb"
-        from .numerics import format_rational
-
         return f"{self.kind}:{format_rational(self.s)}"
 
 
@@ -115,9 +113,7 @@ def parse_family(text: str) -> CoeffFamily:
         return domb()
     kind, _, stext = s.partition(":")
     if kind not in ("hyper3F2", "square2F1", "convCentral") or not stext:
-        raise ParseError(f"unknown coefficient family: {text!r}")
-    from .numerics import parse_rational
-
+        raise ParseError(f"unknown coefficient family: {_show_literal(text)}")
     return CoeffFamily(kind, parse_rational(stext))
 
 
@@ -287,8 +283,33 @@ def eval_numeric(fam: CoeffFamily, a, b, z, digits: int) -> BigApprox:
 
 
 # ============================================================
-# Clausen and Gauss-at-1/2 checks
+# reports; the Clausen and Gauss-at-1/2 checks
 # ============================================================
+
+class Report:
+    """Base of the reports the CLI emits as canonical JSON.
+
+    to_json derives each key from a dataclass field: `passed` becomes "pass"
+    and snake_case becomes camelCase, unless the field's metadata names the
+    key ({"key": name}) or leaves the field out ({"key": None}).  Rationals
+    are rendered by format_rational and RadConsts by repr.
+    """
+
+    def to_json(self) -> dict:
+        out = {}
+        for f in fields(self):
+            head, *rest = ["pass"] if f.name == "passed" else f.name.split("_")
+            key = f.metadata.get("key", head + "".join(w.title() for w in rest))
+            if key is None:
+                continue
+            value = getattr(self, f.name)
+            if isinstance(value, RadConst):
+                value = repr(value)
+            elif isinstance(value, QQ):
+                value = format_rational(value)
+            out[key] = value
+        return out
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -296,6 +317,17 @@ class CheckReport:
     detail: str
     first_mismatch: int | None = None
     digits_agreed: int | None = None
+
+
+def compare_series(lhs: Series, rhs: Series, order: int) -> CheckReport:
+    """The verdict on two series claimed equal to `order`: a pass, or the
+    first index at which their coefficients differ."""
+    miss = lhs.first_mismatch(rhs)
+    if miss is None:
+        return CheckReport(True, f"series agree to order {order}")
+    return CheckReport(
+        False, f"first coefficient mismatch at index {miss}", first_mismatch=miss
+    )
 
 
 def clausen_check(a, b, order: int = 32) -> CheckReport:
@@ -306,10 +338,7 @@ def clausen_check(a, b, order: int = 32) -> CheckReport:
 
     lhs = fps_mul(f, f)
     rhs = hyper_series([2 * a, 2 * b, a + b], [a + b + QQ(1, 2), 2 * a + 2 * b], order)
-    miss = lhs.first_mismatch(rhs)
-    if miss is None:
-        return CheckReport(True, f"coefficients equal to order {order}")
-    return CheckReport(False, f"first mismatch at index {miss}", first_mismatch=miss)
+    return compare_series(lhs, rhs, order)
 
 
 def _eval_2f1_half(alpha, beta, gamma, z, digits: int, prec: int) -> BigApprox:

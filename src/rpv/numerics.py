@@ -288,11 +288,11 @@ def parse_radconst(text: str) -> RadConst:
         s, radical = "1", s[5:]
     if radical is not None:
         if not radical.endswith(")"):
-            raise ParseError(f"malformed radical: {text!r}")
+            raise ParseError(f"malformed radical: {_show_literal(text)}")
         try:
             m = capped_radicand(int(radical[:-1]))
         except ValueError as exc:
-            raise ParseError(f"malformed radical: {text!r}") from exc
+            raise ParseError(f"malformed radical: {_show_literal(text)}") from exc
     return RadConst(parse_rational(s), m, t)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import comb
 
 from ._backend import QQ, qq_den, qq_num
@@ -11,6 +11,7 @@ from .errors import GateRefused, InvariantViolation, NoConvergenceDetected
 from .fps import Series, fps_mul, fps_pow_rational
 from .hyper import (
     CheckReport,
+    Report,
     coeff,
     domb,
     eval_numeric,
@@ -47,7 +48,7 @@ def _against_pi(value: BigApprox, target: RadConst, digits: int) -> tuple:
 # ============================================================
 
 @dataclass(frozen=True)
-class StartReport:
+class StartReport(Report):
     s: object  # QQ
     exact_target: bool  # sin(pi s) on the classical radical table?
     passed: bool
@@ -55,17 +56,6 @@ class StartReport:
     computed: str
     target: str
     detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "s": format_rational(self.s),
-            "exactTarget": self.exact_target,
-            "pass": self.passed,
-            "digitsAgreed": self.digits_agreed,
-            "computed": self.computed,
-            "target": self.target,
-            "detail": self.detail,
-        }
 
 
 def starting_formula(s, digits: int = 30) -> StartReport:
@@ -331,31 +321,18 @@ LIMIT_SPECS = {
 
 
 @dataclass(frozen=True)
-class LimitReport:
+class LimitReport(Report):
     value: float
-    target_value: float
+    target_value: float = field(metadata={"key": "target"})
     tolerance: float
     passed: bool
     k_used: int
     error_estimate: float
-    nodes: tuple
-    extrapolants: tuple
+    nodes: tuple = field(metadata={"key": None})
+    extrapolants: tuple = field(metadata={"key": None})
     detail: str
     exact: RadConst | None = None  # pi * limit, when derived by limit_exact
     method: str = "richardson"
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "target": self.target_value,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "kUsed": self.k_used,
-            "errorEstimate": self.error_estimate,
-            "detail": self.detail,
-            "exact": None if self.exact is None else repr(self.exact),
-            "method": self.method,
-        }
 
 
 def _node_sum(p: int, q: int, arg: float, cutoff: float, max_terms: int) -> float:
@@ -564,23 +541,13 @@ def _printed_q(n: int, c: list) -> int:
 
 
 @dataclass(frozen=True)
-class S2Report:
+class S2Report(Report):
     passed: bool
     checked: int
     first_mismatch: int | None
     printed_def_consistent: bool
     printed_first_mismatch: int | None
     detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "pass": self.passed,
-            "checked": self.checked,
-            "firstMismatch": self.first_mismatch,
-            "printedDefConsistent": self.printed_def_consistent,
-            "printedFirstMismatch": self.printed_first_mismatch,
-            "detail": self.detail,
-        }
 
 
 def sun_S2_identity(n_max: int) -> S2Report:
@@ -615,23 +582,13 @@ def sun_S2_identity(n_max: int) -> S2Report:
 
 
 @dataclass(frozen=True)
-class Sun211Report:
+class Sun211Report(Report):
     passed: bool
     digits_agreed: int
     head_digits: int
     rewrite_ok: bool
     replay_passed: bool
     detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "pass": self.passed,
-            "digitsAgreed": self.digits_agreed,
-            "headDigits": self.head_digits,
-            "rewriteOk": self.rewrite_ok,
-            "replayPassed": self.replay_passed,
-            "detail": self.detail,
-        }
 
 
 def sun_2_11(digits: int = 30) -> Sun211Report:
@@ -676,23 +633,13 @@ def sun_2_11(digits: int = 30) -> Sun211Report:
 
 
 @dataclass(frozen=True)
-class Sun414Report:
+class Sun414Report(Report):
     passed: bool
     digits_agreed: int
     formal_passed: bool
     transport_ok: bool
     negative_control_failed: bool
     detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "pass": self.passed,
-            "digitsAgreed": self.digits_agreed,
-            "formalPassed": self.formal_passed,
-            "transportOk": self.transport_ok,
-            "negativeControlFailed": self.negative_control_failed,
-            "detail": self.detail,
-        }
 
 
 def _g44_partial(a_w, b_w, n_terms: int) -> QQ:
@@ -766,7 +713,7 @@ def sun_4_14(digits: int = 30) -> Sun414Report:
 
 
 @dataclass(frozen=True)
-class RogersReport:
+class RogersReport(Report):
     passed: bool
     digits_agreed: int
     formal_passed: bool
@@ -775,18 +722,6 @@ class RogersReport:
     naive_c: RadConst
     corrected_c: RadConst
     detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "pass": self.passed,
-            "digitsAgreed": self.digits_agreed,
-            "formalPassed": self.formal_passed,
-            "transportOk": self.transport_ok,
-            "gateRefused": self.gate_refused,
-            "naiveC": repr(self.naive_c),
-            "correctedC": repr(self.corrected_c),
-            "detail": self.detail,
-        }
 
 
 def rogers_domb_check(digits: int = 30) -> RogersReport:

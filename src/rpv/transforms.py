@@ -34,6 +34,7 @@ from .fps import Series, fps_compose, fps_expand_ratfun, fps_mul, fps_pow_ration
 from .hyper import (
     CheckReport,
     CoeffFamily,
+    compare_series,
     converges,
     eval_numeric,
     family_series,
@@ -286,14 +287,7 @@ def verify_rule_formal(rule: TransformRule, order: int = 64) -> CheckReport:
     Cser = fps_expand_ratfun(rule.C.num, rule.C.den, order)
     lhs = _family_compose(rule.lhs, Aser, order)
     rhs = fps_mul(rule.B.series(order), _family_compose(rule.rhs, Cser, order))
-    miss = lhs.first_mismatch(rhs)
-    if miss is None:
-        return CheckReport(True, f"series agree to order {order}")
-    return CheckReport(
-        False,
-        f"first coefficient mismatch at index {miss}",
-        first_mismatch=miss,
-    )
+    return compare_series(lhs, rhs, order)
 
 
 def verify_rule_numeric(rule: TransformRule, x0, digits: int = 20) -> CheckReport:
@@ -361,10 +355,7 @@ def gauss_pfaff_check(a, b, c, order: int = 32) -> CheckReport:
     lhs = hyper_series([a, b], [c], order)
     inner = fps_compose(hyper_series([a, c - b], [c], order), _x_over_x_minus_1(order))
     rhs = fps_mul(_one_minus_x_pow(-a, order), inner)
-    miss = lhs.first_mismatch(rhs)
-    if miss is None:
-        return CheckReport(True, f"series agree to order {order}")
-    return CheckReport(False, f"first mismatch at index {miss}", first_mismatch=miss)
+    return compare_series(lhs, rhs, order)
 
 
 def gauss_euler_check(a, b, c, order: int = 32) -> CheckReport:
@@ -374,10 +365,7 @@ def gauss_euler_check(a, b, c, order: int = 32) -> CheckReport:
     rhs = fps_mul(
         _one_minus_x_pow(c - a - b, order), hyper_series([c - a, c - b], [c], order)
     )
-    miss = lhs.first_mismatch(rhs)
-    if miss is None:
-        return CheckReport(True, f"series agree to order {order}")
-    return CheckReport(False, f"first mismatch at index {miss}", first_mismatch=miss)
+    return compare_series(lhs, rhs, order)
 
 
 def pfaff_twice_is_euler(a, b, c, order: int = 32) -> CheckReport:
@@ -403,9 +391,5 @@ def pfaff_twice_is_euler(a, b, c, order: int = 32) -> CheckReport:
         _one_minus_x_pow(c - a - b, order), hyper_series([c - a, c - b], [c], order)
     )
     direct = hyper_series([a, b], [c], order)
-    miss1 = composed.first_mismatch(euler)
-    miss2 = composed.first_mismatch(direct)
-    if miss1 is None and miss2 is None:
-        return CheckReport(True, f"composition equals the Euler form to order {order}")
-    miss = miss1 if miss1 is not None else miss2
-    return CheckReport(False, f"first mismatch at index {miss}", first_mismatch=miss)
+    report = compare_series(composed, euler, order)
+    return compare_series(composed, direct, order) if report.passed else report

@@ -29,11 +29,12 @@ series continued analytically to z, and say so in their notes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from ._backend import QQ, qq_den, qq_num
-from .errors import ArgumentMismatch, GateRefused, SingularPoint
+from .errors import ArgumentMismatch, GateRefused, ParseError, SingularPoint
 from .hyper import CheckReport, CoeffFamily, family_envelope, parse_family
 from .numerics import RadConst, format_rational, parse_radconst, parse_rational
 from .poly import poly_eval, poly_scale, poly_sub, rational_roots
@@ -45,6 +46,38 @@ from .transforms import (
 )
 
 CERT_SCHEMA = "rpv-certificate/1"
+# every gate checks the rule to this many digits; a certificate stores it as
+# gate.digits, and replay re-derives it rather than trusting the stored value
+GATE_DIGITS = 12
+
+
+# ============================================================
+# reading JSON fields
+# ============================================================
+
+_JSON_TYPE_NAMES = {str: "string", dict: "object", list: "array"}
+
+
+def json_field(obj, path: str, kind: type = object):
+    """The value at a dotted key path of a JSON object, checked to be of
+    `kind`; ParseError naming the path when it is missing or of another type."""
+    value = obj
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ParseError(f"field {path!r} is missing")
+        value = value[key]
+    if not isinstance(value, kind):
+        raise ParseError(f"field {path!r} must be a JSON {_JSON_TYPE_NAMES[kind]}")
+    return value
+
+
+def _parsed(obj, path: str, parse):
+    """parse() of the string at a dotted key path; ParseError naming it."""
+    text = json_field(obj, path, str)
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"field {path!r}: {exc}") from exc
 
 
 # ============================================================
@@ -103,19 +136,24 @@ class SeriesSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SeriesSpec":
-        return cls(
-            fam=parse_family(obj["family"]),
-            z=parse_rational(obj["z"]),
-            a=parse_rational(obj["a"]),
-            b=parse_rational(obj["b"]),
-            c=parse_radconst(obj["c"]),
-        )
+        return _spec_at(obj, "")
 
     def __str__(self) -> str:
         return (
             f"sum ({format_rational(self.a)} + {format_rational(self.b)} n) t_n "
             f"({format_rational(self.z)})^n = ({self.c}) / pi  [{self.fam}]"
         )
+
+
+def _spec_at(obj, prefix: str) -> SeriesSpec:
+    """The spec whose fields sit at prefix + name in a JSON object."""
+    return SeriesSpec(
+        fam=_parsed(obj, prefix + "family", parse_family),
+        z=_parsed(obj, prefix + "z", parse_rational),
+        a=_parsed(obj, prefix + "a", parse_rational),
+        b=_parsed(obj, prefix + "b", parse_rational),
+        c=_parsed(obj, prefix + "c", parse_radconst),
+    )
 
 
 # ============================================================
@@ -172,28 +210,32 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
-        if obj.get("schema") != CERT_SCHEMA:
-            raise ArgumentMismatch(f"unknown certificate schema {obj.get('schema')!r}")
-        tr, gate = obj["trace"], obj["gate"]
+        """Read a certificate, ParseError naming the first field that is
+        missing or cannot be read.  The gate, status and notes are taken as
+        they stand: replay compares them with the re-derived ones."""
+        schema = json_field(obj, "schema", str)
+        if schema != CERT_SCHEMA:
+            raise ArgumentMismatch(f"unknown certificate schema {schema!r}")
+        gate_x = json_field(obj, "gate.x")
         return cls(
-            source=SeriesSpec.from_json(obj["source"]),
-            rule_id=obj["rule"],
-            orientation=obj["orientation"],
-            x0=parse_rational(obj["x0"]),
-            lam=parse_rational(tr["lam"]),
-            dlog_b=parse_rational(tr["dlog_b"]),
-            dlog_c=parse_rational(tr["dlog_c"]),
-            beta=parse_radconst(tr["beta"]),
-            u0=parse_rational(tr["u0"]),
-            u1=parse_rational(tr["u1"]),
-            k=parse_rational(tr["k"]),
-            target=SeriesSpec.from_json(obj["target"]),
-            gate_mode=gate["mode"],
-            gate_x=None if gate["x"] is None else parse_rational(gate["x"]),
-            gate_digits=gate["digits"],
-            gate_agreed=gate["agreed"],
-            status=obj["status"],
-            notes=tuple(obj.get("notes", ())),
+            source=_spec_at(obj, "source."),
+            rule_id=json_field(obj, "rule", str),
+            orientation=json_field(obj, "orientation"),
+            x0=_parsed(obj, "x0", parse_rational),
+            lam=_parsed(obj, "trace.lam", parse_rational),
+            dlog_b=_parsed(obj, "trace.dlog_b", parse_rational),
+            dlog_c=_parsed(obj, "trace.dlog_c", parse_rational),
+            beta=_parsed(obj, "trace.beta", parse_radconst),
+            u0=_parsed(obj, "trace.u0", parse_rational),
+            u1=_parsed(obj, "trace.u1", parse_rational),
+            k=_parsed(obj, "trace.k", parse_rational),
+            target=_spec_at(obj, "target."),
+            gate_mode=json_field(obj, "gate.mode"),
+            gate_x=None if gate_x is None else _parsed(obj, "gate.x", parse_rational),
+            gate_digits=json_field(obj, "gate.digits"),
+            gate_agreed=json_field(obj, "gate.agreed"),
+            status=json_field(obj, "status"),
+            notes=tuple(json_field(obj, "notes", list)),
         )
 
 
@@ -310,7 +352,6 @@ def translate(
     rule: TransformRule | str,
     x0=None,
     target_z=None,
-    gate_digits: int = 12,
 ) -> Certificate:
     """Transport `source` along `rule`, returning an exact Certificate.
 
@@ -395,7 +436,7 @@ def translate(
 
     agreed = None
     if gate_x is not None:
-        report = verify_rule_numeric(oriented, gate_x, digits=gate_digits)
+        report = verify_rule_numeric(oriented, gate_x, digits=GATE_DIGITS)
         agreed = report.digits_agreed
         if not report.passed:
             raise GateRefused(
@@ -419,39 +460,40 @@ def translate(
         target=target,
         gate_mode=mode,
         gate_x=gate_x,
-        gate_digits=gate_digits,
+        gate_digits=GATE_DIGITS,
         gate_agreed=agreed,
         status=status,
         notes=tuple(notes),
     )
 
 
+def _drift(fresh: dict, stored: dict, prefix: str = "") -> list:
+    """The dotted keys at which two JSON objects differ, sorted."""
+    out = []
+    for key in sorted(set(fresh) | set(stored)):
+        a, b = fresh.get(key), stored.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            out += _drift(a, b, f"{prefix}{key}.")
+        elif key not in fresh or key not in stored or (
+            json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True)
+        ):
+            out.append(prefix + key)
+    return out
+
+
 def replay(cert: Certificate | dict) -> CheckReport:
-    """Re-derive a certificate from its source/rule/x0 and compare exactly."""
+    """Derive the certificate again from its source, rule and x0, and compare
+    the whole record with the stored one in canonical JSON.  It passes only
+    when they are equal; otherwise the report names every key that differs.
+    A route whose gate fails raises GateRefused, as translate does."""
     if isinstance(cert, dict):
-        cert = Certificate.from_json(cert)
-    rule = get_rule(cert.rule_id)
-    fresh = translate(
-        cert.source, rule, x0=cert.x0, gate_digits=cert.gate_digits
-    )
-    mismatches = []
-    for name in ("lam", "dlog_b", "dlog_c", "u0", "u1", "k", "x0"):
-        if QQ(getattr(fresh, name)) != QQ(getattr(cert, name)):
-            mismatches.append(name)
-    if fresh.beta != cert.beta:
-        mismatches.append("beta")
-    if fresh.orientation != cert.orientation:
-        mismatches.append("orientation")
-    if fresh.gate_mode != cert.gate_mode:
-        mismatches.append("gate_mode")
-    if not fresh.target.same_identity(cert.target):
-        mismatches.append("target")
-    if fresh.target.to_json() != cert.target.to_json():
-        # same identity but different normalization would also be a drift
-        if "target" not in mismatches:
-            mismatches.append("target-normalization")
-    if mismatches:
-        return CheckReport(False, "replay drift in: " + ", ".join(mismatches))
+        stored, cert = cert, Certificate.from_json(cert)
+    else:
+        stored = cert.to_json()
+    fresh = translate(cert.source, cert.rule_id, x0=cert.x0)
+    drift = _drift(fresh.to_json(), stored)
+    if drift:
+        return CheckReport(False, "replay drift in: " + ", ".join(drift))
     return CheckReport(
         True,
         f"replayed {cert.rule_id} ({cert.orientation}) at "

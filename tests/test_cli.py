@@ -190,8 +190,10 @@ def test_unreadable_catalog_exits_2(monkeypatch, tmp_path):
         ('{"schema": "rpv-catalog/1"}', None),
         (None, '{"schema": "rpv-certificates/1"}'),
         ('{"schema": "rpv-catalog/1", "entries": [1]}', None),
+        (None, '{"schema": "rpv-certificates/1", "entries": {"s12-04": [1]}}'),
     ],
-    ids=["list", "no-entries", "certificates-no-entries", "entry-not-object"],
+    ids=["list", "no-entries", "certificates-no-entries", "entry-not-object",
+         "wrapper-not-object"],
 )
 def test_misshapen_catalog_exits_2(monkeypatch, tmp_path, catalog, certificates):
     path = tmp_path / "catalog.json"
@@ -308,7 +310,10 @@ def _exits_2_quickly(argv):
 
 
 def test_huge_digit_count_exits_2_quickly():
-    _exits_2_quickly(["digits", "--id", "s16-11", "--digits", HUGE_INT])
+    assert len(_exits_2_quickly(["digits", "--id", "s16-11", "--digits", HUGE_INT])) < 200
+    # under the int guard, so it parses, and is refused by its minimum
+    err = _exits_2_quickly(["digits", "--id", "s16-11", "--digits", "-" + "7" * 4000])
+    assert len(err) < 200 and "at least 1" in err
 
 
 def test_replay_huge_integer_exits_2_quickly(tmp_path):
@@ -321,7 +326,8 @@ def test_replay_huge_integer_exits_2_quickly(tmp_path):
     stored.write_text(json.dumps(dict(cert, target=dict(cert["target"], a=HUGE_INT))))
     assert len(_exits_2_quickly(argv + ["--replay", str(stored)])) < 200
     stored.write_text(json.dumps(cert).replace('"target": {', f'"target": {{"n": {HUGE_INT}, ', 1))
-    assert len(_exits_2_quickly(argv + ["--replay", str(stored)])) < 200
+    err = _exits_2_quickly(argv + ["--replay", str(stored)])
+    assert len(err) < 200 and "number literal is too long" in err and str(stored) in err
 
 
 def test_import_keeps_int_str_guard():
@@ -333,3 +339,61 @@ def test_import_keeps_int_str_guard():
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def _shipped_certificate():
+    """The s12-01 transport certificate and the argv that derives it."""
+    certs = json.loads((DATA_DIR / "certificates.json").read_text())["entries"]
+    wrapper = certs["s12-01"][0]
+    cert = wrapper["certificate"]
+    argv = ["translate", "--source", wrapper["source_id"], "--rule", cert["rule"],
+            "--x0", cert["x0"], "--replay"]
+    return cert, argv
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda c: [], "schema"),
+        (lambda c: {k: v for k, v in c.items() if k != "trace"}, "trace.lam"),
+        (lambda c: dict(c, gate={k: v for k, v in c["gate"].items() if k != "x"}), "gate.x"),
+        (lambda c: dict(c, x0=1), "x0"),
+        (lambda c: dict(c, trace=[]), "trace.lam"),
+        (lambda c: dict(c, source=dict(c["source"], family="x" * 5000)), "source.family"),
+    ],
+    ids=["list", "no-trace", "gate-without-x", "integer-x0", "trace-list", "long-family"],
+)
+def test_misshapen_replay_certificate_exits_2(tmp_path, mutate, field):
+    cert, argv = _shipped_certificate()
+    stored = tmp_path / "cert.json"
+    stored.write_text(json.dumps(mutate(cert)))
+    code, _, err = run_cli(argv + [str(stored)])
+    assert code == 2, err
+    assert f"field {field!r}" in err and len(err) < 200
+
+
+def test_replay_file_nested_too_deeply_exits_2(tmp_path):
+    _, argv = _shipped_certificate()
+    stored = tmp_path / "cert.json"
+    stored.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run_cli(argv + [str(stored)])
+    assert code == 2, err
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "entry_id, kind, key",
+    [("s12-01", "transport", "certificate"), ("s12-05", "divergence", "edge"),
+     ("s12-01", "transport", "source_id")],
+)
+def test_misshapen_certificate_wrapper_exits_2(monkeypatch, tmp_path, entry_id, kind, key):
+    shutil.copy(DATA_DIR / "catalog.json", tmp_path / "catalog.json")
+    certs = json.loads((DATA_DIR / "certificates.json").read_text())
+    for wrapper in certs["entries"][entry_id]:
+        if wrapper["kind"] == kind:
+            del wrapper[key]
+    (tmp_path / "certificates.json").write_text(json.dumps(certs))
+    monkeypatch.setenv("RPV_CATALOG", str(tmp_path / "catalog.json"))
+    code, _, err = run_cli(["verify", "--id", entry_id, "--digits", "10"])
+    assert code == 2, err
+    assert f"certificate of {entry_id}: field {key!r} is missing" in err

@@ -7,12 +7,13 @@ import pytest
 
 from rpv._backend import QQ
 from rpv.errors import DivergentInput
-from rpv.fps import fps_mul
+from rpv.fps import Series, fps_mul
 from rpv.hyper import (
     CheckReport,
     CoeffFamily,
     clausen_check,
     coeff,
+    compare_series,
     convCentral,
     converges,
     domb,
@@ -299,6 +300,15 @@ def test_clausen_check_passes_and_negative_control():
     )
     miss = lhs.first_mismatch(rhs)
     assert miss is not None and miss <= 2
+
+
+def test_compare_series_verdicts():
+    one = Series([QQ(1), QQ(2), QQ(3)])
+    rep = compare_series(one, one, 2)
+    assert rep.passed and rep.detail == "series agree to order 2"
+    rep = compare_series(one, Series([QQ(1), QQ(2), QQ(4)]), 2)
+    assert not rep.passed and rep.first_mismatch == 2
+    assert rep.detail == "first coefficient mismatch at index 2"
 
 
 def test_gauss_half_check():

@@ -302,3 +302,29 @@ def test_report_json_keys():
     limit = limit_eval(LIMIT_SPECS["limit-start-1/6"], 1e-6).to_json()
     assert limit["pass"] and limit["kUsed"] >= 5
     assert limit["errorEstimate"] <= limit["tolerance"]
+
+
+def test_report_json_key_sets():
+    limit = LIMIT_SPECS["limit-start-1/6"]
+    limit_keys = {"value", "target", "tolerance", "pass", "kUsed", "errorEstimate",
+                  "detail", "exact", "method"}
+    start = starting_formula(QQ(1, 3), 15).to_json()
+    assert set(start) == {"s", "exactTarget", "pass", "digitsAgreed", "computed",
+                          "target", "detail"}
+    assert start["s"] == "1/3"
+    for ladder in (False, True):
+        blob = limit_verdict(limit, 1e-6, ladder=ladder).to_json()
+        assert set(blob) == limit_keys, ladder
+        assert blob["exact"] == "1" and isinstance(blob["target"], float)
+    assert set(sun_S2_identity(5).to_json()) == {
+        "pass", "checked", "firstMismatch", "printedDefConsistent",
+        "printedFirstMismatch", "detail"}
+    assert set(sun_2_11(15).to_json()) == {
+        "pass", "digitsAgreed", "headDigits", "rewriteOk", "replayPassed", "detail"}
+    assert set(sun_4_14(15).to_json()) == {
+        "pass", "digitsAgreed", "formalPassed", "transportOk",
+        "negativeControlFailed", "detail"}
+    rogers = rogers_domb_check(15).to_json()
+    assert set(rogers) == {"pass", "digitsAgreed", "formalPassed", "transportOk",
+                           "gateRefused", "naiveC", "correctedC", "detail"}
+    assert rogers["correctedC"] == "25/3*sqrt(3)"

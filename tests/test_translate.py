@@ -1,5 +1,7 @@
 """Tests for exact theta-transport of series specs along rules."""
 
+import time
+
 import pytest
 
 from rpv._backend import QQ
@@ -234,3 +236,66 @@ def test_normalized_and_same_identity():
     assert not norm.same_identity(spec("hyper3F2:1/2", (1, 32), 8, 65, RadConst(9, 7)))
     flipped = spec("hyper3F2:1/2", (1, 64), -8, -65, RadConst(-9, 7))
     assert norm.same_identity(flipped)
+
+
+# A certificate for a route the gate refuses: warning-1p8x is false as a
+# numeric identity at x0 = 1/2.  It is what a gate run to 0 digits would
+# produce, and it claims exactly that in gate.digits.
+FORGED_GATE_ZERO = {
+    "schema": "rpv-certificate/1",
+    "source": {"family": "square2F1:1/3", "z": "1/2", "a": "0", "b": "1", "c": "1*sqrt(3)"},
+    "rule": "warning-1p8x",
+    "orientation": "forward",
+    "x0": "1/2",
+    "trace": {
+        "lam": "1", "dlog_b": "-2/5", "dlog_c": "-22/5", "beta": "1/5*sqrt(5)",
+        "u0": "-2/5", "u1": "-22/5", "k": "-5/2",
+    },
+    "target": {"family": "hyper3F2:1/6", "z": "4/125", "a": "1", "b": "11",
+               "c": "-5/2*sqrt(15)"},
+    "gate": {"mode": "numeric", "x": "1/2", "digits": 0, "agreed": 0},
+    "status": "proved-translation",
+    "notes": [],
+}
+
+
+def test_replay_refuses_certificate_of_a_refused_route():
+    with pytest.raises(GateRefused, match="warning-1p8x"):
+        replay(FORGED_GATE_ZERO)
+
+
+def _forged(path, value):
+    blob = translate(START4, "pfaff-sq", x0=QQ(1, 2)).to_json()
+    *parents, last = path.split(".")
+    node = blob
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return blob
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("gate.digits", 0),
+        ("gate.digits", -5),
+        ("gate.digits", "12"),
+        ("gate.digits", 200000),
+        ("gate.agreed", 3),
+        ("status", "divergent-certificate"),
+        ("notes", []),
+    ],
+)
+def test_replay_compares_the_whole_certificate(path, value):
+    blob = _forged(path, value)
+    t0 = time.perf_counter()
+    report = replay(blob)
+    assert time.perf_counter() - t0 < 1.0
+    assert not report.passed
+    assert report.detail == f"replay drift in: {path}"
+
+
+def test_replay_names_every_drifted_key():
+    blob = _forged("trace.u0", "7")
+    blob["x0"] = "2/4"  # parses to the same point, but is not the canonical text
+    assert replay(blob).detail == "replay drift in: trace.u0, x0"
