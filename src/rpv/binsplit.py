@@ -7,15 +7,9 @@ from dataclasses import dataclass
 
 from ._backend import QQ, isqrt, qq_den, qq_num
 from .errors import DivergentInput, InvariantViolation, NonExactConstant, UnsupportedFamily
-from .hyper import converges, family_recurrence, tail_bound
+from .hyper import converges, integer_recurrence, tail_bound
+from .hyper import int_poly_eval as _ev
 from .numerics import BigApprox, fixed_div, int_to_decimal_str, pi_oracle
-
-
-def _ev(poly: tuple, n: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * n + c
-    return acc
 
 
 @dataclass(frozen=True)
@@ -27,7 +21,8 @@ class TermRatio:
 
 
 def term_ratio(entry) -> TermRatio:
-    """Integer term-ratio polynomials for a first-order family, z = u/v cleared.
+    """Integer term-ratio polynomials for a first-order family, z = u/v cleared:
+    the (A, D) of hyper.integer_recurrence when its B is ().
 
     With P the family recurrence (n+1)^3 t_{n+1} = P(n) t_n and d the lcm of
     P's denominators, the ratio of consecutive *terms* t_n z^n is
@@ -35,18 +30,13 @@ def term_ratio(entry) -> TermRatio:
     (2n+1)(qn+p)(qn+q-p).
     """
     spec = getattr(entry, "spec", entry)
-    P, Q = family_recurrence(spec.fam)
-    if Q:
+    p_poly, b_poly, q_poly = integer_recurrence(spec.fam, spec.z)
+    if b_poly:
         raise UnsupportedFamily(
             "binary splitting needs a first-order recurrence, "
             f"and {spec.fam} has a second-order one"
         )
-    d = math.lcm(*(qq_den(c) for c in P))
-    u, v = int(qq_num(spec.z)), int(qq_den(spec.z))
-    return TermRatio(
-        tuple(u * qq_num(c * d) for c in P),
-        tuple(v * d * c for c in (1, 3, 3, 1)),
-    )
+    return TermRatio(p_poly, q_poly)
 
 
 @dataclass(frozen=True)

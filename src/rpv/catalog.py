@@ -27,6 +27,7 @@ from .translate import Certificate, SeriesSpec, json_field, replay
 DATA_DIR = Path(__file__).resolve().parent / "data"
 STATUSES = ("proved-start", "proved-translation", "numeric-only", "divergent-certificate")
 TAGS = ("R", "WZ", "modular", "new")
+CERTIFICATE_KINDS = ("transport", "divergence")
 MIN_ENTRIES = 44
 
 
@@ -82,6 +83,9 @@ def _entry_from_json(rec: dict, certs: dict) -> CatalogEntry:
         wrappers = certs.get(rec["id"], [])
         if not (isinstance(wrappers, list) and all(isinstance(w, dict) for w in wrappers)):
             raise ParseError("its certificates must be a list of JSON objects")
+        for w in wrappers:
+            if w.get("kind") not in CERTIFICATE_KINDS:
+                raise ParseError(f"unknown certificate kind {w.get('kind')!r:.40}")
         entry = CatalogEntry(
             id=rec["id"],
             spec=spec,
@@ -130,10 +134,10 @@ def _check_invariants(entries: list) -> None:
             )
         if e.status == "divergent-certificate" and not e.certificates:
             raise InvariantViolation(f"{e.id}: divergent entry carries no certificate")
-        if e.edge == 1 and e.status == "proved-translation":
-            if not any(c.get("kind") == "transport" for c in e.certificates):
+        if e.status == "proved-translation":
+            if not any(c["kind"] == "transport" for c in e.certificates):
                 raise InvariantViolation(
-                    f"{e.id}: boundary entry carries no transport certificate"
+                    f"{e.id}: proved-translation entry carries no transport certificate"
                 )
 
 
@@ -264,7 +268,7 @@ def _verify_certificates(entry: CatalogEntry, entries) -> VerifyReport:
 def _check_certificates(entry: CatalogEntry, entries) -> VerifyReport:
     details = []
     ok = True
-    transports = [c for c in entry.certificates if c.get("kind") == "transport"]
+    transports = [c for c in entry.certificates if c["kind"] == "transport"]
     gate_digits = 0
     for wrapper in transports:
         good, detail = _replay_transport(entry, wrapper, entries)
@@ -273,7 +277,7 @@ def _check_certificates(entry: CatalogEntry, entries) -> VerifyReport:
         if good:  # then the stored gate is the re-derived one
             gate_digits = max(gate_digits, wrapper["certificate"]["gate"]["agreed"] or 0)
     for wrapper in entry.certificates:
-        if wrapper.get("kind") != "divergence":
+        if wrapper["kind"] != "divergence":
             continue
         edge = parse_rational(json_field(wrapper, "edge", str))
         if edge != entry.edge or edge < 1:
@@ -310,7 +314,7 @@ def verify_entry(
         pi = pi_oracle(digits + 5)
     if entry.edge < 1:
         report = _verify_numeric(entry, digits, pi)
-        if any(c.get("kind") == "transport" for c in entry.certificates):
+        if any(c["kind"] == "transport" for c in entry.certificates):
             cert_rep = _verify_certificates(entry, entries)
             report = replace(
                 report,

@@ -26,15 +26,23 @@ The definitions above are the test oracle; tests/test_hyper.py also proves
 each recurrence (the differential operator theta^3 - x P(theta) - x^2 Q(theta+1)
 annihilates the generating function, and a WZ certificate for domb).
 
-Numeric summation is certified through explicit coefficient envelopes
-|t_n| <= (n+1)^deg * R^n (proved in the docstrings of _ENVELOPES), which give
-exact geometric-type tail bounds; the returned BigApprox error bound includes
-the tail.  Summation outside |z|*R < 1 raises DivergentInput — such entries
-are handled by certificates, never by summation.
+Numeric summation (eval_numeric) adds up the first N terms exactly and
+bounds the rest.  The same recurrence, with its denominators and z = u/v
+cleared (integer_recurrence), drives an integer binary split of 3x3
+transition matrices over (w_n, w_{n-1}, S_n), w_n = t_n z^n (sum_terms;
+Haible & Papanikolaou, ANTS 1998): the partial sum comes out as one exact
+rational, without a Fraction per term.  N is the first power of two from 16
+whose tail bound is below 10^-(digits+3); the bound comes from explicit
+coefficient envelopes |t_n| <= (n+1)^deg * R^n (proved in the docstrings of
+_ENVELOPES), which give exact geometric-type tails, and the returned
+BigApprox error bound includes it.  Summation outside |z|*R < 1 raises
+DivergentInput — such entries are handled by certificates, never by
+summation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from ._backend import QQ, qq_den, qq_num
@@ -154,6 +162,36 @@ def family_recurrence(fam: CoeffFamily) -> tuple[tuple, tuple]:
     raise ParseError(f"unknown family kind {fam.kind!r}")
 
 
+def integer_recurrence(fam: CoeffFamily, z) -> tuple[tuple, tuple, tuple]:
+    """(A, B, D), integer polynomials in n with
+
+        D(n) w_{n+1} = A(n) w_n + B(n) w_{n-1}
+
+    for the terms w_n = t_n z^n: family_recurrence multiplied by d v^k, where
+    z = u/v, d clears the denominators of P and Q and k is the order (1 when
+    Q = (), and then B = ()).  So A = u v^(k-1) d P, B = u^2 d Q and
+    D = v^k d (n+1)^3.
+    """
+    P, Q = family_recurrence(fam)
+    z = QQ(z)
+    u, v = qq_num(z), qq_den(z)
+    d = math.lcm(*(qq_den(c) for c in P + Q))
+    k = 2 if Q else 1
+    return (
+        tuple(u * v ** (k - 1) * qq_num(c * d) for c in P),
+        tuple(u * u * qq_num(c * d) for c in Q),
+        tuple(v**k * d * c for c in (1, 3, 3, 1)),
+    )
+
+
+def int_poly_eval(p: tuple, n: int) -> int:
+    """An integer polynomial (low degree first) at n, by Horner; 0 for ()."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * n + c
+    return acc
+
+
 def _extend(fam: CoeffFamily, n: int) -> list:
     cache = _stream_cache.setdefault(_cache_key(fam), [QQ(1)])
     if len(cache) > n:
@@ -267,18 +305,55 @@ def eval_numeric(fam: CoeffFamily, a, b, z, digits: int) -> BigApprox:
         )
     target_num, target_den = 1, 10 ** (digits + 3)
     N = 16
-    while tail_bound(fam, a, b, z, N) * target_den >= target_num:
+    tail = tail_bound(fam, a, b, z, N)
+    while tail * target_den >= target_num:
         N *= 2
         if N > 1 << 22:  # unreachable for catalog inputs; safety valve
             raise DivergentInput(f"tail does not certify for {fam} at z = {z}")
-    ts = _extend(fam, N)
-    total = QQ(0)
-    zp = QQ(1)
-    for n in range(N):
-        total += (a + b * n) * ts[n] * zp
-        zp *= z
-    return BigApprox.from_partial_sum(
-        total, tail_bound(fam, a, b, z, N), prec_for_digits(digits)
+        tail = tail_bound(fam, a, b, z, N)
+    return BigApprox.from_partial_sum(sum_terms(fam, a, b, z, N), tail, prec_for_digits(digits))
+
+
+def sum_terms(fam: CoeffFamily, a, b, z, N: int):
+    """sum_{n<N} (a+bn) t_n z^n as one exact rational (N >= 1).
+
+    The state (w_n, w_{n-1}, S_n) of the terms w_n = t_n z^n and the partial
+    sums S_n moves by D(n) x_{n+1} = M(n) x_n with the integer matrix
+
+        M(n) = [[A(n),          B(n), 0   ],
+                [D(n),          0,    0   ],
+                [(a+bn) D(n),   0,    D(n)]]
+
+    of integer_recurrence (a, b scaled to integers by L), so from
+    x_0 = (1, 0, 0) the product M(N-1)...M(0) = [[X, 0], [r, q]], formed by
+    binary splitting, gives S_N = r_0 / (q L).
+    """
+    if N < 1:
+        raise ValueError("sum_terms needs N >= 1")
+    a, b = QQ(a), QQ(b)
+    A, B, D = integer_recurrence(fam, z)
+    L = math.lcm(qq_den(a), qq_den(b))
+    node = _split_terms(A, B, D, qq_num(a * L), qq_num(b * L), 0, N)
+    return QQ(node[4], node[6] * L)
+
+
+def _split_terms(A, B, D, a: int, b: int, lo: int, hi: int) -> tuple:
+    """(X00, X01, X10, X11, r0, r1, q) of M(hi-1)...M(lo); B = () leaves the
+    w_{n-1} column (X01, X11, r1) at zero."""
+    if hi - lo == 1:
+        dn = int_poly_eval(D, lo)
+        return int_poly_eval(A, lo), int_poly_eval(B, lo), dn, 0, (a + b * lo) * dn, 0, dn
+    mid = (lo + hi) // 2
+    l00, l01, l10, l11, lr0, lr1, lq = _split_terms(A, B, D, a, b, lo, mid)
+    h00, h01, h10, h11, hr0, hr1, hq = _split_terms(A, B, D, a, b, mid, hi)
+    return (
+        h00 * l00 + h01 * l10,
+        h00 * l01 + h01 * l11,
+        h10 * l00 + h11 * l10,
+        h10 * l01 + h11 * l11,
+        hr0 * l00 + hr1 * l10 + hq * lr0,
+        hr0 * l01 + hr1 * l11 + hq * lr1,
+        hq * lq,
     )
 
 
@@ -348,7 +423,8 @@ def _eval_2f1_half(alpha, beta, gamma, z, digits: int, prec: int) -> BigApprox:
     geometric tail; summation is exact until terms drop below target.
     """
     alpha, beta, gamma, z = QQ(alpha), QQ(beta), QQ(gamma), QQ(z)
-    assert abs(z) * 2 <= 1 and max(abs(alpha), abs(beta)) <= 2
+    if not (abs(z) * 2 <= 1 and max(abs(alpha), abs(beta)) <= 2):
+        raise ValueError("2F1 summation needs |z| <= 1/2 and |alpha|, |beta| <= 2")
     term = QQ(1)
     total = QQ(0)
     n = 0

@@ -33,10 +33,14 @@ from .errors import IncompatibleRadicals, ParseError
 
 def _show_literal(text: str) -> str:
     """repr of text for an error message; a long one is cut to 40 characters
-    plus its length, so a huge literal cannot flood stderr."""
-    if len(text) <= 40:
+    (fewer when they repr as escapes) plus its length, so a huge literal
+    cannot flood stderr."""
+    cut = text[:40]
+    while len(repr(cut)) > 42:
+        cut = cut[:-1]
+    if cut == text:
         return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
+    return f"{cut!r}... ({len(text)} characters)"
 
 
 def parse_rational(text: str):
@@ -261,10 +265,15 @@ MAX_RADICAND = 10**12
 
 
 def capped_radicand(m: int) -> int:
-    """m itself, or ParseError when it exceeds MAX_RADICAND."""
+    """m itself, or ParseError when it exceeds MAX_RADICAND or is not positive."""
+    if 1 <= m <= MAX_RADICAND:
+        return m
+    shown = str(m)
+    if len(shown) > 40:
+        shown = f"{shown[:40]}... ({len(shown)} characters)"
     if m > MAX_RADICAND:
-        raise ParseError(f"radicand {m} exceeds the cap {MAX_RADICAND}")
-    return m
+        raise ParseError(f"radicand {shown} exceeds the cap {MAX_RADICAND}")
+    raise ParseError(f"radicand {shown} is not a positive integer")
 
 
 def parse_radconst(text: str) -> RadConst:

@@ -397,3 +397,41 @@ def test_misshapen_certificate_wrapper_exits_2(monkeypatch, tmp_path, entry_id, 
     code, _, err = run_cli(["verify", "--id", entry_id, "--digits", "10"])
     assert code == 2, err
     assert f"certificate of {entry_id}: field {key!r} is missing" in err
+
+
+def _catalog_with_wrappers(tmp_path, entry_id, mutate):
+    shutil.copy(DATA_DIR / "catalog.json", tmp_path / "catalog.json")
+    certs = json.loads((DATA_DIR / "certificates.json").read_text())
+    mutate(certs["entries"][entry_id])
+    (tmp_path / "certificates.json").write_text(json.dumps(certs))
+    return str(tmp_path / "catalog.json")
+
+
+_NO_KIND = object()
+
+
+@pytest.mark.parametrize("kind", ["transprot", None, 7, _NO_KIND],
+                         ids=["misspelt", "null", "number", "missing"])
+def test_unknown_certificate_kind_exits_2(monkeypatch, tmp_path, kind):
+    # s14-02 is proved-translation and also sums numerically, so an ignored
+    # wrapper used to leave it passing on the sum alone
+    def mutate(wrappers):
+        if kind is _NO_KIND:
+            del wrappers[0]["kind"]
+        else:
+            wrappers[0]["kind"] = kind
+
+    monkeypatch.setenv("RPV_CATALOG", _catalog_with_wrappers(tmp_path, "s14-02", mutate))
+    code, out, err = run_cli(["verify", "--id", "s14-02", "--digits", "15"])
+    assert code == 2, (out, err)
+    shown = "None" if kind is _NO_KIND else repr(kind)
+    assert f"catalog entry s14-02: unknown certificate kind {shown}" in err
+
+
+def test_proved_translation_without_transport_exits_1(monkeypatch, tmp_path):
+    monkeypatch.setenv(
+        "RPV_CATALOG", _catalog_with_wrappers(tmp_path, "s14-02", lambda ws: ws.clear())
+    )
+    code, _, err = run_cli(["verify", "--id", "s14-02", "--digits", "15"])
+    assert code == 1
+    assert "s14-02: proved-translation entry carries no transport certificate" in err

@@ -1,0 +1,41 @@
+"""Property test: sum_terms equals the Fraction sum for every family.
+
+Any rational s, a and b, z of either sign strictly inside the family's
+envelope (z = 0 included) and N from 1 to 600 terms.
+"""
+
+import pytest
+
+from rpv._backend import QQ
+from rpv.hyper import CoeffFamily, family_envelope, sum_terms
+from test_summation import reference_sum
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+KINDS = ("hyper3F2", "square2F1", "convCentral", "domb")
+
+
+def _rationals(bound: int, den: int):
+    return st.builds(QQ, st.integers(-bound, bound), st.integers(1, den))
+
+
+@st.composite
+def _inputs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    fam = CoeffFamily(kind, QQ(0) if kind == "domb" else draw(_rationals(12, 12)))
+    R, _ = family_envelope(fam)
+    q = draw(st.integers(1, 10**4))
+    p = draw(st.integers(-(q - 1), q - 1))  # |z| R = |p|/q < 1
+    z = QQ(p, q * R)
+    N = draw(st.one_of(st.integers(1, 64), st.integers(1, 600)))
+    return fam, draw(_rationals(50, 30)), draw(_rationals(50, 30)), z, N
+
+
+@settings(max_examples=80, deadline=None)
+@given(_inputs())
+@example((CoeffFamily("hyper3F2", QQ(1, 2)), QQ(1), QQ(6), QQ(0), 600))
+@example((CoeffFamily("convCentral", QQ(1, 3)), QQ(-2, 7), QQ(5, 3), QQ(-49, 200), 600))
+@example((CoeffFamily("domb", QQ(0)), QQ(3), QQ(16), QQ(1, 65), 600))
+def test_split_equals_fraction_sum(args):
+    assert sum_terms(*args) == reference_sum(*args)
