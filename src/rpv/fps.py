@@ -4,16 +4,25 @@ The verification substrate: every transformation rule is checked by expanding
 both sides to a finite order with exact coefficients and comparing lists.
 Truncation order is data, not ambient state — a Series knows its order, and
 every operation documents the order of its result (min of the operands unless
-stated otherwise).  Coefficients are backend rationals only; radical constants
-never appear at the series level (they arise at point evaluation, which lives
-in `translate`).
+stated otherwise).  Coefficients are rationals only; radical constants never
+appear at the series level (they arise at point evaluation, which lives in
+`translate`).
+
+Representation: a Series is one vector of integer numerators ``nums`` over one
+denominator ``den``, so coefficient k is ``nums[k] / den``.  The form is
+canonical, ``den > 0`` and ``gcd(den, *nums) == 1``, which makes ``den`` the
+lcm of the reduced coefficient denominators and equality a comparison of
+integers.  The kernels below work on ``(nums, den)`` directly and reduce by
+one gcd pass per result; backend rationals appear only at the edges, in
+``Series(coeffs)`` and the derived ``coeffs`` tuple.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
-from ._backend import QQ
+from ._backend import QQ, qq_den, qq_num
 from .errors import (
     DenominatorVanishesAtZero,
     NonUnitConstantTerm,
@@ -22,147 +31,198 @@ from .errors import (
 
 
 class Series:
-    """coeffs[k] is the coefficient of x^k; order = len(coeffs) - 1."""
+    """nums[k] / den is the coefficient of x^k; order = len(nums) - 1."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs):
         cs = tuple(QQ(c) for c in coeffs)
         if not cs:
             raise ValueError("a Series needs at least the constant term")
-        object.__setattr__(self, "coeffs", cs)
+        den = lcm(*map(qq_den, cs))
+        # each coefficient is reduced, so gcd(den, *nums) == 1 already
+        object.__setattr__(self, "nums", tuple(qq_num(c) * (den // qq_den(c)) for c in cs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", cs)
 
     def __setattr__(self, *a):
         raise AttributeError("Series is immutable")
 
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        """The coefficients as backend rationals, built once on first use."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(QQ(k, self.den) for k in self.nums))
+        return self._coeffs
 
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls([QQ(0)] * (order + 1))
+    @property
+    def order(self) -> int:
+        return len(self.nums) - 1
 
     @classmethod
     def one(cls, order: int) -> "Series":
-        return cls([QQ(1)] + [QQ(0)] * order)
+        return _series([1] + [0] * order, 1)
 
     @classmethod
     def x(cls, order: int) -> "Series":
         if order < 1:
             raise ValueError("order must be >= 1 for the identity series")
-        return cls([QQ(0), QQ(1)] + [QQ(0)] * (order - 1))
+        return _series([0, 1] + [0] * (order - 1), 1)
 
     def truncate(self, order: int) -> "Series":
         if order >= self.order:
             return self
-        return Series(self.coeffs[: order + 1])
+        return _series(self.nums[: order + 1], self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Series) and self.coeffs == other.coeffs
+        return isinstance(other, Series) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        tail = ", ..." if len(self.coeffs) > 6 else ""
+        head = ", ".join(str(QQ(k, self.den)) for k in self.nums[:6])
+        tail = ", ..." if len(self.nums) > 6 else ""
         return f"Series([{head}{tail}]; order={self.order})"
 
     def first_mismatch(self, other: "Series"):
         """Index of the first differing coefficient at shared order, or None."""
-        n = min(self.order, other.order)
-        for k in range(n + 1):
-            if self.coeffs[k] != other.coeffs[k]:
+        da, db = self.den, other.den
+        for k, (a, b) in enumerate(zip(self.nums, other.nums)):
+            if a * db != b * da:
                 return k
         return None
 
 
+def _series(nums, den: int) -> Series:
+    """The Series nums/den (den > 0), reduced to canonical form."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [k // g for k in nums]
+        den //= g
+    s = object.__new__(Series)
+    object.__setattr__(s, "nums", tuple(nums))
+    object.__setattr__(s, "den", den)
+    object.__setattr__(s, "_coeffs", None)
+    return s
+
+
 def fps_add(a: Series, b: Series) -> Series:
     n = min(a.order, b.order)
-    return Series([a.coeffs[k] + b.coeffs[k] for k in range(n + 1)])
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    return _series([x * sa + y * sb for x, y in zip(a.nums[: n + 1], b.nums)], den)
 
 
 def fps_sub(a: Series, b: Series) -> Series:
     n = min(a.order, b.order)
-    return Series([a.coeffs[k] - b.coeffs[k] for k in range(n + 1)])
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    return _series([x * sa - y * sb for x, y in zip(a.nums[: n + 1], b.nums)], den)
 
 
 def fps_scale(a: Series, q) -> Series:
     q = QQ(q)
-    return Series([c * q for c in a.coeffs])
+    p = qq_num(q)
+    return _series([k * p for k in a.nums], a.den * qq_den(q))
 
 
 def fps_mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated at the shared order.
 
-    The convolution runs on integer numerators over one common denominator
-    per operand, so only the n+1 results pay a Fraction normalisation.
+    The numerators convolve as integers over the denominator a.den·b.den,
+    and the result is reduced by one gcd pass.
     """
     n = min(a.order, b.order)
-    da = lcm(*(c.denominator for c in a.coeffs[: n + 1]))
-    db = lcm(*(c.denominator for c in b.coeffs[: n + 1]))
-    ia = [c.numerator * (da // c.denominator) for c in a.coeffs[: n + 1]]
-    ib = [c.numerator * (db // c.denominator) for c in b.coeffs[: n + 1]]
-    return Series(
-        [QQ(sum(ia[i] * ib[k - i] for i in range(k + 1)), da * db) for k in range(n + 1)]
-    )
+    x, y = a.nums, b.nums
+    return _series([sum(map(mul, x[: k + 1], y[k::-1])) for k in range(n + 1)], a.den * b.den)
 
 
 def fps_compose(outer: Series, inner: Series) -> Series:
-    """outer(inner(x)) at outer's order; inner must have zero constant term."""
-    if inner.coeffs[0] != 0:
+    """outer(inner(x)) at outer's order; inner must have zero constant term.
+
+    Horner in the inner series over outer's integer numerators, truncated by
+    degree: the partial sum after outer coefficient k is multiplied by inner
+    k more times, and inner vanishes at 0, so only its degrees 0..n-k can
+    reach the result.  Each step reduces its partial sum to canonical form.
+    A shorter inner series counts as zero beyond its order.
+    """
+    if inner.nums[0]:
         raise NonzeroConstantTerm("fps_compose needs inner(0) = 0")
     n = outer.order
-    inner = inner.truncate(n) if inner.order > n else inner
-    pad = Series(inner.coeffs + (QQ(0),) * (n - inner.order))
-    out = Series([outer.coeffs[n]] + [QQ(0)] * n)
-    for k in range(n - 1, -1, -1):  # Horner in the inner series
-        out = fps_mul(out, pad)
-        out = Series((out.coeffs[0] + outer.coeffs[k],) + out.coeffs[1:])
-    return out
+    g, e = inner.nums[1:], inner.den
+    fs = outer.nums
+    acc, den = [fs[n]], 1
+    for k in range(n - 1, -1, -1):
+        # acc holds degrees 0..n-k-1; the product with inner fills 1..n-k
+        den *= e
+        step = [fs[k] * den]
+        step += [sum(map(mul, g[:d], acc[d - 1 :: -1])) for d in range(1, n - k + 1)]
+        c = gcd(den, *step)
+        if c != 1:
+            step = [t // c for t in step]
+            den //= c
+        acc = step
+    return _series(acc, den * outer.den)
 
 
 def fps_pow_rational(base: Series, e) -> Series:
     """base^e for rational e; base must have constant term 1.
 
     Uses the first-order ODE f'·base = e·base'·f, which gives the recurrence
-        n·f_n = sum_{k=1..n} (k·(e+1) - n) · b_k · f_{n-k).
+        m·f_m = sum_{k=1..m} (k·(e+1) - m) · b_k · f_{m-k}.
+    With e = p/q and b_k = B_k/D_b, f_m = S/(m·q·D_b·D) for an integer S when
+    f_0..f_{m-1} are integers over D; cancelling gcd(S, m·q·D_b) leaves D at
+    the lcm of the reduced denominators, so the vector stays canonical.
     """
-    if base.coeffs[0] != 1:
+    if base.nums[0] != base.den:
         raise NonUnitConstantTerm("fps_pow_rational needs constant term 1")
     e = QQ(e)
+    p, q = qq_num(e), qq_den(e)
     n = base.order
-    b = base.coeffs
-    f = [QQ(1)] + [QQ(0)] * n
+    bs = base.nums[1:]
+    kbs = [k * b for k, b in enumerate(bs, 1)]
+    fs, den = [1], 1
     for m in range(1, n + 1):
-        acc = QQ(0)
-        for k in range(1, m + 1):
-            if b[k] != 0:
-                acc += (k * (e + 1) - m) * b[k] * f[m - k]
-        f[m] = acc / m
-    return Series(f)
+        rev = fs[::-1]
+        s = (p + q) * sum(map(mul, kbs, rev)) - m * q * sum(map(mul, bs, rev))
+        c = m * q * base.den
+        g = gcd(s, c)
+        t = c // g
+        if t != 1:
+            fs = [f * t for f in fs]
+            den *= t
+        fs.append(s // g)
+    return _series(fs, den)
 
 
 def fps_theta(a: Series) -> Series:
     """theta = x·d/dx: coefficient n·a_n at index n (order preserved)."""
-    return Series([k * c for k, c in enumerate(a.coeffs)])
+    return _series([k * c for k, c in enumerate(a.nums)], a.den)
 
 
 def fps_expand_ratfun(num, den, order: int) -> Series:
     """Expand num(x)/den(x) to `order`; den(0) must be nonzero.
 
-    num/den are dense rational coefficient lists, constant term first.
+    num/den are dense rational coefficient lists, constant term first.  Both
+    are cleared to integer vectors P/u and Q/v, so num/den = (v/u)·P/Q, and
+    P/Q runs the recurrence Q_0·o_k = P_k - sum_j Q_j·o_{k-j} over one
+    running denominator, as in fps_pow_rational.
     """
-    num = [QQ(c) for c in num]
-    den = [QQ(c) for c in den]
     if not den or den[0] == 0:
         raise DenominatorVanishesAtZero("den(0) = 0 in fps_expand_ratfun")
-    d0 = den[0]
-    out = [QQ(0)] * (order + 1)
+    P = Series(num or [0])
+    Q = Series(den)
+    ps, qs, q0 = P.nums, Q.nums[1:], Q.nums[0]
+    fs, d = [], 1
     for k in range(order + 1):
-        acc = num[k] if k < len(num) else QQ(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * out[k - j]
-        out[k] = acc / d0
-    return Series(out)
+        s = (ps[k] * d if k < len(ps) else 0) - sum(map(mul, qs, fs[::-1]))
+        g = gcd(s, q0)
+        t = q0 // g
+        if t < 0:
+            t, g = -t, -g
+        if t != 1:
+            fs = [f * t for f in fs]
+            d *= t
+        fs.append(s // g)
+    return _series([f * Q.den for f in fs], d * P.den)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 
 from ._backend import QQ, qq_den, qq_num
 from .errors import DivergentInput, ParseError
-from .fps import Series
+from .fps import Series, fps_mul
 from .numerics import BigApprox, RadConst, format_rational, parse_rational, pi_oracle
 from .numerics import _show_literal, prec_for_digits, rad_to_bigapprox, sin_pi
 from .poly import poly, poly_eval, poly_mul
@@ -409,8 +409,6 @@ def clausen_check(a, b, order: int = 32) -> CheckReport:
     """2F1(a,b; a+b+1/2; x)^2 == 3F2(2a, 2b, a+b; a+b+1/2, 2a+2b; x) to order."""
     a, b = QQ(a), QQ(b)
     f = hyper_series([a, b], [a + b + QQ(1, 2)], order)
-    from .fps import fps_mul
-
     lhs = fps_mul(f, f)
     rhs = hyper_series([2 * a, 2 * b, a + b], [a + b + QQ(1, 2), 2 * a + 2 * b], order)
     return compare_series(lhs, rhs, order)

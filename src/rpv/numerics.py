@@ -21,6 +21,7 @@ oracle independent of every series in the catalog.
 from __future__ import annotations
 
 import math as _math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,25 +44,28 @@ def _show_literal(text: str) -> str:
     return f"{cut!r}... ({len(text)} characters)"
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str):
-    """Parse "p/q" or "p" into an exact rational.  Decimals are rejected."""
+    """Parse "p/q" or "p" into an exact rational: ASCII digits, an optional
+    sign on p only, no inner whitespace.  Decimals are rejected."""
     s = text.strip()
     if not s:
         raise ParseError("empty rational literal")
     if any(ch in s for ch in ".eE"):
         raise ParseError(f"decimal literals are not accepted: {_show_literal(text)}")
-    parts = s.split("/")
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise ParseError(f"malformed rational: {_show_literal(text)}")
+    num, den = m.groups()
     try:
-        if len(parts) == 1:
-            return QQ(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-            if den == 0:
-                raise ParseError(f"zero denominator: {_show_literal(text)}")
-            return QQ(num, den)
-    except ValueError as exc:
+        p, q = int(num), int(den or 1)
+    except ValueError as exc:  # past CPython's 4300-digit int/str limit
         raise ParseError(f"malformed rational: {_show_literal(text)}") from exc
-    raise ParseError(f"malformed rational: {_show_literal(text)}")
+    if q == 0:
+        raise ParseError(f"zero denominator: {_show_literal(text)}")
+    return QQ(p, q)
 
 
 def format_rational(q) -> str:

@@ -677,7 +677,7 @@ def sun_4_14(digits: int = 30) -> Sun414Report:
         pref,
         Series([coeff(hyper3F2(QQ(1, 3)), n) for n in range(order + 1)]),
     )
-    formal_ok = g44.coeffs == clausen.coeffs
+    formal_ok = g44 == clausen
 
     target = RadConst(QQ(3, 2), 6)
     value = _g44_value(-1, 3, digits)

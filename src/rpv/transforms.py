@@ -30,7 +30,15 @@ from .errors import (
     SingularPoint,
     UnrepresentableConstant,
 )
-from .fps import Series, fps_compose, fps_expand_ratfun, fps_mul, fps_pow_rational, fps_sub
+from .fps import (
+    Series,
+    fps_compose,
+    fps_expand_ratfun,
+    fps_mul,
+    fps_pow_rational,
+    fps_scale,
+    fps_sub,
+)
 from .hyper import (
     CheckReport,
     CoeffFamily,
@@ -104,10 +112,9 @@ class Prefactor:
                         "normalize the prefactor base"
                     )
                 const *= c.r
-            unit = [QQ(c) / p0 for c in p]
-            unit += [QQ(0)] * (order + 1 - len(unit))
-            out = fps_mul(out, fps_pow_rational(Series(unit[: order + 1]), e))
-        return Series([c * const for c in out.coeffs])
+            unit = fps_scale(Series(list(p[: order + 1]) + [0] * (order + 1 - len(p))), 1 / p0)
+            out = fps_mul(out, fps_pow_rational(unit, e))
+        return fps_scale(out, const)
 
     def dlog_at(self, x0):
         """Exact logarithmic derivative B'(x0)/B(x0), a rational."""
@@ -380,7 +387,7 @@ def pfaff_twice_is_euler(a, b, c, order: int = 32) -> CheckReport:
     # w = y/(y-1) = -y * (1-y)^(-1), as a series in x (collapses back to x,
     # but it is computed, not assumed)
     one_minus_y = fps_sub(Series.one(order), y)
-    w = Series([-cf for cf in fps_mul(y, fps_pow_rational(one_minus_y, QQ(-1))).coeffs])
+    w = fps_scale(fps_mul(y, fps_pow_rational(one_minus_y, QQ(-1))), -1)
     # step 1 prefactor (1-x)^(-a); step 2 prefactor (1-y)^(-(c-b)) composed in x
     pref = fps_mul(
         _one_minus_x_pow(-a, order), fps_pow_rational(one_minus_y, -(c - b))

@@ -88,6 +88,11 @@ def test_usage_errors_exit_2():
         ["verify", "--id", "nope", "--digits", "10"],
         ["start", "--s", "0.5", "--digits", "10"],
         ["start", "--s", "3/2", "--digits", "10"],
+        # int() takes these, the p/q grammar does not
+        ["start", "--s", "1_0/3_0", "--digits", "10"],
+        ["start", "--s", "\u0661/\u0663", "--digits", "10"],
+        ["start", "--s", "1 / 3", "--digits", "10"],
+        ["start", "--s", "1/-3", "--digits", "10"],
         ["translate", "--source", "start-1/4", "--rule", "nope", "--x0", "1/2"],
         ["translate", "--source", "start-1/4", "--rule", "pfaff-sq"],  # no point
         ["limit", "--id", "nope", "--tolerance", "1e-8"],

@@ -46,11 +46,18 @@ def test_parse_rational_forms():
     assert parse_rational("-9/40") == QQ(-9, 40)
     assert parse_rational("7") == QQ(7)
     assert parse_rational(" 3/9 ") == QQ(1, 3)
+    assert parse_rational("+3/9") == QQ(1, 3)
+    assert parse_rational("-0") == 0
     assert format_rational(QQ(-9, 40)) == "-9/40"
     assert format_rational(QQ(8, 4)) == "2"
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1e3", "", "1/0", "2/3/4", "x", "1.0/2"])
+@pytest.mark.parametrize(
+    "bad",
+    ["0.5", "1e3", "", "1/0", "2/3/4", "x", "1.0/2",
+     # only ASCII [+-]?[0-9]+(/[0-9]+)? passes, though int() takes all of these
+     "1_0/3_0", "\u0661/\u0663", "1 / 3", "1/ 3", "- 1", "1/-3", "1/+3", "+-1", "1\u00a0/3"],
+)
 def test_parse_rational_rejects(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
