@@ -1,107 +1,45 @@
-"""Binary-splitting digit computation for hypergeometric catalog entries."""
+"""Pi digits from a catalog entry, by binary splitting and a certified tail.
+
+pi_digits sums the first N terms of any convergent entry, of any family, as
+one exact rational T/Q from hyper.split_range, the engine's one binary split
+of the family recurrence (first- and second-order alike, with the common
+factors of each merge cancelled and the right spine's P products skipped).
+N comes from the family envelope (terms_needed), the omitted tail from
+hyper.tail_bound, and the digits from a certified interval around
+pi = c sqrt(m) Q/T; an interval that does not decide every digit retries
+with more guard digits and terms.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._backend import QQ, isqrt, qq_den, qq_num
-from .errors import DivergentInput, InvariantViolation, NonExactConstant, UnsupportedFamily
-from .hyper import converges, integer_recurrence, tail_bound
-from .hyper import int_poly_eval as _ev
+from .errors import DivergentInput, InvariantViolation, NonExactConstant
+from .hyper import converges, family_envelope, integer_recurrence, split_range, tail_bound
 from .numerics import BigApprox, fixed_div, int_to_decimal_str, pi_oracle
 
 
-@dataclass(frozen=True)
-class TermRatio:
-    """term_{n+1}/term_n = p_poly(n)/q_poly(n) with integer coefficients."""
+def terms_needed(fam, z, digits: int) -> int:
+    """Terms N at which the envelope term (|z| R)^N (hyper.family_envelope)
+    is 10^-digits, plus slack; 1 when z = 0, where the tail is 0.
 
-    p_poly: tuple
-    q_poly: tuple
-
-
-def term_ratio(entry) -> TermRatio:
-    """Integer term-ratio polynomials for a first-order family, z = u/v cleared:
-    the (A, D) of hyper.integer_recurrence when its B is ().
-
-    With P the family recurrence (n+1)^3 t_{n+1} = P(n) t_n and d the lcm of
-    P's denominators, the ratio of consecutive *terms* t_n z^n is
-    u d P(n) / (v d (n+1)^3).  For hyper3F2(p/q), d = 2q^2 and d P(n) is
-    (2n+1)(qn+p)(qn+q-p).
+    The rate -log(|z| R) comes from exact integer logs of z = u/v and R.  The
+    slack is 10 terms, and for every envelope but hyper3F2's (R, deg) = (1, 0)
+    also log(N+1)/rate per power of n in the tail term (a+bn)(n+1)^deg and
+    two decimal digits, so that the first attempt decides.  hyper3F2 keeps
+    the N it always had; its slow entries (|z| > 1/e) may retry once.
     """
-    spec = getattr(entry, "spec", entry)
-    p_poly, b_poly, q_poly = integer_recurrence(spec.fam, spec.z)
-    if b_poly:
-        raise UnsupportedFamily(
-            "binary splitting needs a first-order recurrence, "
-            f"and {spec.fam} has a second-order one"
-        )
-    return TermRatio(p_poly, q_poly)
-
-
-@dataclass(frozen=True)
-class SplitNode:
-    """Exact data for a half-open index range of the weighted sum.
-
-    Invariant: T/Q = sum_{n in range} (a+bn) prod_{k in [lo,n)} r(k) and
-    P/Q = prod_{k in range} r(k), so siblings merge by
-    P = P1*P2, Q = Q1*Q2, T = T1*Q2 + P1*T2, after both P1 and Q2 are divided
-    by g = gcd(P1, Q2); that keeps both ratios and drops the factors the terms
-    cancel (Cheng, Hanrot, Thome, Zima & Zimmermann, ISSAC 2007).  A merge
-    reads only the left sibling's P, so P is None on a node split without it.
-    """
-
-    P: int | None
-    Q: int
-    T: int
-
-
-# a merge cancels gcd(P1, Q2) only while the smaller operand has at most this
-# many bits: CPython's gcd is quadratic, and above it the gcd costs more than
-# the smaller products save (sweep in CHANGES.md)
-_GCD_MAX_BITS = 16_000
-
-
-def split_range(
-    ratio: TermRatio, a: int, b: int, lo: int, hi: int, with_p: bool = True
-) -> SplitNode:
-    """Exact SplitNode for [lo, hi).  With with_p False the P products along
-    the right spine, which no merge reads, are not formed."""
-    if hi - lo == 1:
-        qn = _ev(ratio.q_poly, lo)
-        return SplitNode(_ev(ratio.p_poly, lo) if with_p else None, qn, (a + b * lo) * qn)
-    mid = (lo + hi) // 2
-    left = split_range(ratio, a, b, lo, mid)
-    right = split_range(ratio, a, b, mid, hi, with_p)
-    lp, rq = left.P, right.Q
-    if min(lp.bit_length(), rq.bit_length()) <= _GCD_MAX_BITS:
-        g = math.gcd(lp, rq)
-        if g > 1:
-            lp, rq = lp // g, rq // g
-    return SplitNode(
-        lp * right.P if with_p else None,
-        left.Q * rq,
-        left.T * rq + lp * right.T,
-    )
-
-
-def partial_sum(entry, n_terms: int):
-    """Exact rational sum of the first n_terms weighted terms."""
-    spec = getattr(entry, "spec", entry)
-    ratio = term_ratio(spec)
-    a, b, scale = _integer_weights(spec)
-    node = split_range(ratio, a, b, 0, n_terms, False)
-    return QQ(node.T, node.Q) / scale
-
-
-def _integer_weights(spec) -> tuple:
-    d = math.lcm(int(qq_den(spec.a)), int(qq_den(spec.b)))
-    return int(spec.a * d), int(spec.b * d), QQ(d)
-
-
-def terms_needed(z, digits: int) -> int:
-    inv = 1.0 / abs(float(QQ(z)))
-    return math.ceil(digits * math.log(10.0) / math.log(inv)) + 10
+    z = QQ(z)
+    u = abs(qq_num(z))
+    if not u:
+        return 1
+    R, deg = family_envelope(fam)
+    rate = math.log(qq_den(z)) - math.log(u) - math.log(R)
+    n = digits * math.log(10.0) / rate
+    if (R, deg) != (1, 0):
+        n += ((deg + 1) * math.log(n + 1) + math.log(100)) / rate
+    return math.ceil(n) + 10
 
 
 # decimal guard digits of the first attempt; each retry adds more, and
@@ -125,15 +63,16 @@ def pi_digits(entry, digits: int) -> str:
     spec = getattr(entry, "spec", entry)
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    ratio = term_ratio(spec)
     if not converges(spec.fam, spec.z):
         raise DivergentInput(f"entry at z = {spec.z} cannot be summed for digits")
     if spec.c.t:
         raise NonExactConstant("digit computation needs a real radical constant")
-    a, b, scale = _integer_weights(spec)
+    rec = integer_recurrence(spec.fam, spec.z)
+    scale = math.lcm(qq_den(spec.a), qq_den(spec.b))
+    a, b = qq_num(spec.a * scale), qq_num(spec.b * scale)
     for extra in _RETRY_EXTRA:
-        n = terms_needed(spec.z, digits + extra)
-        node = split_range(ratio, a, b, 0, n, False)
+        n = terms_needed(spec.fam, spec.z, digits + extra)
+        node = split_range(rec, a, b, 0, n, False)
         tail = tail_bound(spec.fam, a, b, spec.z, n)
         out = _decide_digits(spec, scale, node, tail, digits, _GUARD_DIGITS + extra)
         if out is not None:

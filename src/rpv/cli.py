@@ -16,7 +16,6 @@ from .errors import (
     NonExactConstant,
     ParseError,
     RpvError,
-    UnsupportedFamily,
 )
 from .numerics import _show_literal, parse_rational
 from .parallel import parallel_map
@@ -390,7 +389,6 @@ def main(argv=None) -> int:
         GateRefused,
         DivergentInput,
         NonExactConstant,
-        UnsupportedFamily,
         NoConvergenceDetected,
     ) as exc:
         print(f"rpv: refused: {exc}", file=sys.stderr)

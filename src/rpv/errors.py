@@ -42,10 +42,6 @@ class DivergentInput(RpvError):
     """Numeric summation requested outside the convergence region."""
 
 
-class UnsupportedFamily(RpvError):
-    """Operation defined only for some coefficient families."""
-
-
 class NonExactConstant(RpvError):
     """Digit computation needs an exact radical constant c."""
 

@@ -28,22 +28,29 @@ annihilates the generating function, and a WZ certificate for domb).
 
 Numeric summation (eval_numeric) adds up the first N terms exactly and
 bounds the rest.  The same recurrence, with its denominators and z = u/v
-cleared (integer_recurrence), drives an integer binary split of 3x3
-transition matrices over (w_n, w_{n-1}, S_n), w_n = t_n z^n (sum_terms;
-Haible & Papanikolaou, ANTS 1998): the partial sum comes out as one exact
-rational, without a Fraction per term.  N is the first power of two from 16
-whose tail bound is below 10^-(digits+3); the bound comes from explicit
-coefficient envelopes |t_n| <= (n+1)^deg * R^n (proved in the docstrings of
-_ENVELOPES), which give exact geometric-type tails, and the returned
-BigApprox error bound includes it.  Summation outside |z|*R < 1 raises
+cleared (integer_recurrence), drives split_range, the engine's one integer
+binary split (Haible & Papanikolaou, ANTS 1998) of the step on
+(w_n, w_{n-1}, S_n), w_n = t_n z^n: the partial sum comes out as one exact
+rational T/Q, without a Fraction per term.  It serves both sum_terms and the
+digit runs of binsplit.pi_digits.  A first-order family (hyper3F2) carries a
+scalar P, the others a 2x2 block; each merge divides the gcd of the left P
+and the right Q out of both while the smaller has at most _GCD_MAX_BITS
+bits (Cheng, Hanrot, Thome, Zima & Zimmermann, ISSAC 2007), and the P
+products of the right spine, which no merge reads, are skipped.  N is the
+first power of two from 16 whose tail bound is below 10^-(digits+3); the
+bound comes from explicit coefficient envelopes |t_n| <= (n+1)^deg * R^n
+(proved in the docstrings of _ENVELOPES), which give exact geometric-type
+tails, and the returned BigApprox error bound includes it.  Summation outside |z|*R < 1 raises
 DivergentInput — such entries are handled by certificates, never by
 summation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from ._backend import QQ, qq_den, qq_num
 from .errors import DivergentInput, ParseError
@@ -142,8 +149,12 @@ def _poly_prod(c, *factors) -> tuple:
     return out
 
 
+@functools.cache
 def family_recurrence(fam: CoeffFamily) -> tuple[tuple, tuple]:
-    """(P, Q) with (n+1)^3 t_{n+1} = P(n) t_n + Q(n) t_{n-1} and t_0 = 1."""
+    """(P, Q) with (n+1)^3 t_{n+1} = P(n) t_n + Q(n) t_{n-1} and t_0 = 1.
+
+    Cached: each sum and stream extension asks for it, and building it in
+    rationals costs more than a short split."""
     s = fam.s
     if fam.kind == "hyper3F2":
         return _poly_prod(QQ(1, 2), (1, 2), (s, 1), (1 - s, 1)), ()
@@ -315,46 +326,101 @@ def eval_numeric(fam: CoeffFamily, a, b, z, digits: int) -> BigApprox:
 
 
 def sum_terms(fam: CoeffFamily, a, b, z, N: int):
-    """sum_{n<N} (a+bn) t_n z^n as one exact rational (N >= 1).
-
-    The state (w_n, w_{n-1}, S_n) of the terms w_n = t_n z^n and the partial
-    sums S_n moves by D(n) x_{n+1} = M(n) x_n with the integer matrix
-
-        M(n) = [[A(n),          B(n), 0   ],
-                [D(n),          0,    0   ],
-                [(a+bn) D(n),   0,    D(n)]]
-
-    of integer_recurrence (a, b scaled to integers by L), so from
-    x_0 = (1, 0, 0) the product M(N-1)...M(0) = [[X, 0], [r, q]], formed by
-    binary splitting, gives S_N = r_0 / (q L).
-    """
+    """sum_{n<N} (a+bn) t_n z^n as one exact rational (N >= 1), from
+    split_range over integer_recurrence with a, b scaled to integers by L."""
     if N < 1:
         raise ValueError("sum_terms needs N >= 1")
     a, b = QQ(a), QQ(b)
-    A, B, D = integer_recurrence(fam, z)
     L = math.lcm(qq_den(a), qq_den(b))
-    node = _split_terms(A, B, D, qq_num(a * L), qq_num(b * L), 0, N)
-    return QQ(node[4], node[6] * L)
+    node = split_range(integer_recurrence(fam, z), qq_num(a * L), qq_num(b * L), 0, N, False)
+    return QQ(node.T, node.Q * L)
 
 
-def _split_terms(A, B, D, a: int, b: int, lo: int, hi: int) -> tuple:
-    """(X00, X01, X10, X11, r0, r1, q) of M(hi-1)...M(lo); B = () leaves the
-    w_{n-1} column (X01, X11, r1) at zero."""
+class SplitNode(NamedTuple):
+    """Exact data for a half-open index range [lo, hi) of the weighted sum.
+
+    For the terms w_n = t_n z^n and the partial sums S_n of (a+bn) w_n,
+
+        Q S_hi = Q S_lo + T w_lo + U w_{lo-1},
+
+    and P carries the terms across the range: for a first-order family
+    (B = ()) P is an int with Q w_hi = P w_lo, and U = 0; otherwise P is the
+    2x2 block (X00, X01, X10, X11) with
+    Q (w_hi, w_{hi-1}) = (X00 w_lo + X01 w_{lo-1}, X10 w_lo + X11 w_{lo-1}).
+    Every node may carry a common factor, so only these ratios are fixed.
+    """
+
+    P: object  # int, a 2x2 block, or None when split without it
+    Q: int
+    T: int
+    U: int = 0
+
+
+# a scalar merge cancels a common factor only while the smaller of the left
+# P and the right Q has at most _GCD_MAX_BITS bits: CPython's gcd is
+# quadratic, and above it the gcd costs more than the smaller products save.
+# A block merge cancels while the right Q has more than _GCD_MIN_BITS bits
+# and at most _GCD_MAX_BITS: below, the five-way gcd costs more than it saves
+# (domb-16n3's root Q at 4096 terms: 73,585 bits against 72,829; CHANGES.md)
+_GCD_MAX_BITS = 16_000
+_GCD_MIN_BITS = 512
+
+# builds a SplitNode without NamedTuple's Python-level __new__, which costs a
+# small split (the catalog's) a tenth of its time
+_node = tuple.__new__
+
+
+def split_range(rec, a: int, b: int, lo: int, hi: int, with_p: bool = True) -> SplitNode:
+    """Exact SplitNode for [lo, hi) of rec = integer_recurrence(fam, z), with
+    integer weights a + bn.
+
+    The step D(n) x_{n+1} = M(n) x_n on x_n = (w_n, w_{n-1}, S_n), with
+
+        M(n) = [[A(n),          B(n), 0   ],
+                [D(n),          0,    0   ],
+                [(a+bn) D(n),   0,    D(n)]],
+
+    multiplies out over the range to [[P, 0], [(T, U), Q]] (binary splitting,
+    Haible & Papanikolaou, ANTS 1998; a first-order family has no w_{n-1}
+    column, so P is a scalar), and a node merges with its right sibling h as
+    P = P_h P, (T, U) = (T_h, U_h) P + Q_h (T, U), Q = Q_h Q.  Before that,
+    g = gcd(Q_h, entries of P) is divided out of both, which scales the
+    merged node by 1/g and drops the factors the terms cancel (Cheng,
+    Hanrot, Thome, Zima & Zimmermann, ISSAC 2007).  A merge reads only the
+    left sibling's P, so with with_p False the products along the right
+    spine are not formed and P is None there.
+    """
+    A, B, D = rec
     if hi - lo == 1:
         dn = int_poly_eval(D, lo)
-        return int_poly_eval(A, lo), int_poly_eval(B, lo), dn, 0, (a + b * lo) * dn, 0, dn
+        if not with_p:
+            p = None
+        elif B:
+            p = int_poly_eval(A, lo), int_poly_eval(B, lo), dn, 0
+        else:
+            p = int_poly_eval(A, lo)
+        return _node(SplitNode, (p, dn, (a + b * lo) * dn, 0))
     mid = (lo + hi) // 2
-    l00, l01, l10, l11, lr0, lr1, lq = _split_terms(A, B, D, a, b, lo, mid)
-    h00, h01, h10, h11, hr0, hr1, hq = _split_terms(A, B, D, a, b, mid, hi)
-    return (
-        h00 * l00 + h01 * l10,
-        h00 * l01 + h01 * l11,
-        h10 * l00 + h11 * l10,
-        h10 * l01 + h11 * l11,
-        hr0 * l00 + hr1 * l10 + hq * lr0,
-        hr0 * l01 + hr1 * l11 + hq * lr1,
-        hq * lq,
-    )
+    lp, lq, lt, lu = split_range(rec, a, b, lo, mid)
+    rp, rq, rt, ru = split_range(rec, a, b, mid, hi, with_p)
+    if not B:
+        if lp.bit_length() <= _GCD_MAX_BITS or rq.bit_length() <= _GCD_MAX_BITS:
+            g = math.gcd(lp, rq)
+            if g > 1:
+                lp, rq = lp // g, rq // g
+        return _node(SplitNode, (lp * rp if with_p else None, lq * rq, lt * rq + lp * rt, 0))
+    l00, l01, l10, l11 = lp
+    if _GCD_MIN_BITS < rq.bit_length() <= _GCD_MAX_BITS:
+        g = math.gcd(rq, l00, l01, l10, l11)
+        if g > 1:
+            rq, l00, l01, l10, l11 = rq // g, l00 // g, l01 // g, l10 // g, l11 // g
+    p = None
+    if with_p:
+        h00, h01, h10, h11 = rp
+        p = (h00 * l00 + h01 * l10, h00 * l01 + h01 * l11,
+             h10 * l00 + h11 * l10, h10 * l01 + h11 * l11)
+    t = rt * l00 + ru * l10 + rq * lt
+    return _node(SplitNode, (p, lq * rq, t, rt * l01 + ru * l11 + rq * lu))
 
 
 # ============================================================

@@ -5,23 +5,19 @@ import random
 
 import pytest
 
-from rpv import binsplit
+from rpv import binsplit, hyper
 from rpv._backend import QQ
-from rpv.binsplit import (
-    digits_file_text,
-    oracle_digits,
-    partial_sum,
-    pi_digits,
-    split_range,
-    term_ratio,
-    terms_needed,
-)
+from rpv.binsplit import digits_file_text, oracle_digits, pi_digits, terms_needed
 from rpv.catalog import load_catalog
-from rpv.errors import DivergentInput, InvariantViolation, NonExactConstant, UnsupportedFamily
-from rpv.hyper import coeff
+from rpv.errors import DivergentInput, InvariantViolation, NonExactConstant
+from rpv.hyper import coeff, integer_recurrence, int_poly_eval, split_range, sum_terms
 from rpv.numerics import RadConst
 from rpv.translate import SeriesSpec
 from rpv.hyper import hyper3F2
+
+# one entry per family: first order, then the three second-order families
+SPLIT_IDS = ("s14-08", "domb-16n3", "start-1/3", "sun-cor2a")
+RANGES = [(0, 1), (0, 2), (0, 7), (7, 16), (0, 16)]
 
 
 @pytest.fixture(scope="module")
@@ -29,72 +25,103 @@ def entries():
     return {e.id: e for e in load_catalog()}
 
 
+def _terms(spec, hi):
+    """w_n = t_n z^n for n < hi, from the coefficient stream."""
+    return [coeff(spec.fam, n) * spec.z**n for n in range(hi)]
+
+
 def test_term_ratio_half_example(entries):
-    ratio = term_ratio(entries["s12-04"])
-    assert ratio.p_poly == (1, 6, 12, 8)
-    assert ratio.q_poly == (512, 1536, 1536, 512)
+    spec = entries["s12-04"].spec
+    assert integer_recurrence(spec.fam, spec.z) == (
+        (1, 6, 12, 8), (), (512, 1536, 1536, 512)
+    )
 
 
 def test_term_ratio_matches_coefficients(entries):
     rng = random.Random(20260825)
     for eid in ["s12-04", "s14-08", "s13-07", "s16-07", "s14-01"]:
         spec = entries[eid].spec
-        ratio = term_ratio(spec)
+        p_poly, b_poly, q_poly = integer_recurrence(spec.fam, spec.z)
+        assert b_poly == ()
         for _ in range(6):
             n = rng.randrange(0, 40)
             lhs = coeff(spec.fam, n + 1) * spec.z ** (n + 1)
             rhs = coeff(spec.fam, n) * spec.z**n
-            pn = sum(c * n**i for i, c in enumerate(ratio.p_poly))
-            qn = sum(c * n**i for i, c in enumerate(ratio.q_poly))
+            pn = sum(c * n**i for i, c in enumerate(p_poly))
+            qn = sum(c * n**i for i, c in enumerate(q_poly))
             assert lhs * qn == rhs * pn
 
 
-def test_term_ratio_rejects_other_families(entries):
-    with pytest.raises(UnsupportedFamily):
-        term_ratio(entries["start-1/2"])
-    with pytest.raises(UnsupportedFamily):
-        term_ratio(entries["domb-16n3"])
+def test_every_family_is_accepted(entries):
+    for eid in ("domb-16n3", "start-1/3", "sun-cor2a"):
+        assert pi_digits(entries[eid], 30) == oracle_digits(30)
 
 
-def test_merge_matches_leaf_sums(entries):
+def test_merge_matches_leaf_sums(entries, monkeypatch):
     # the merge may cancel common factors, so only the documented ratios are
-    # fixed: T/Q is the weighted partial sum and P/Q the product of term
-    # ratios, here t_n z^n (t_0 = 1) accumulated without the merge formula
-    spec = entries["s14-08"].spec
-    ratio = term_ratio(spec)
-    for lo, hi in [(0, 1), (0, 2), (0, 7), (7, 16), (0, 16)]:
-        node = split_range(ratio, 1, 8, lo, hi)
-        t_lo = coeff(spec.fam, lo) * spec.z**lo
-        acc = sum((1 + 8 * n) * coeff(spec.fam, n) * spec.z**n for n in range(lo, hi)) / t_lo
-        assert QQ(node.T, node.Q) == acc
-        assert QQ(node.P, node.Q) == coeff(spec.fam, hi) * spec.z**hi / t_lo
+    # fixed: (T w_lo + U w_{lo-1})/Q is the weighted partial sum over the
+    # range, and P/Q carries (w_lo, w_{lo-1}) to (w_hi, w_{hi-1}), here with
+    # the terms accumulated without the merge formula; with no lower gcd
+    # limit the block merges of these short ranges cancel too
+    for low in (hyper._GCD_MIN_BITS, 0):
+        monkeypatch.setattr(hyper, "_GCD_MIN_BITS", low)
+        for eid in SPLIT_IDS:
+            spec = entries[eid].spec
+            rec = integer_recurrence(spec.fam, spec.z)
+            w = _terms(spec, 17)
+            for lo, hi in RANGES:
+                node = split_range(rec, 1, 8, lo, hi)
+                prev = w[lo - 1] if lo else 0
+                acc = sum((1 + 8 * n) * w[n] for n in range(lo, hi))
+                assert QQ(node.T * w[lo] + node.U * prev, node.Q) == acc, (eid, lo, hi)
+                if rec[1]:
+                    x00, x01, x10, x11 = node.P
+                    assert (x00 * w[lo] + x01 * prev) / node.Q == w[hi]
+                    assert (x10 * w[lo] + x11 * prev) / node.Q == w[hi - 1]
+                else:
+                    assert node.U == 0
+                    assert QQ(node.P, node.Q) == w[hi] / w[lo]
 
 
 def test_merge_cancels_common_factors(entries):
-    # (4n)!/(n!^4 2304^n): the (N!)^3 in the unreduced Q cancels against P
-    ratio = term_ratio(entries["s14-08"])
-    node = split_range(ratio, 1, 8, 0, 2000, False)
-    unreduced = math.prod(binsplit._ev(ratio.q_poly, k) for k in range(2000))
-    assert 2 * node.Q.bit_length() <= unreduced.bit_length()
+    # s14-08 is (4n)!/(n!^4 2304^n): the (N!)^3 in the unreduced Q cancels
+    # against P; for domb-16n3 the gcd with the 2x2 block does the same
+    for eid, n in [("s14-08", 2000), ("domb-16n3", 4096)]:
+        spec = entries[eid].spec
+        rec = integer_recurrence(spec.fam, spec.z)
+        node = split_range(rec, 1, 8, 0, n, False)
+        unreduced = math.prod(int_poly_eval(rec[2], k) for k in range(n))
+        assert 2 * node.Q.bit_length() <= unreduced.bit_length(), eid
 
 
 def test_split_without_right_spine_p_keeps_q_and_t(entries):
-    for eid, n in [("s14-08", 1), ("s14-08", 2), ("s14-08", 37), ("s16-11", 300)]:
+    cases = [("s14-08", 1), ("s14-08", 2), ("s14-08", 37), ("s16-11", 300)]
+    cases += [(eid, n) for eid in SPLIT_IDS[1:] for n in (1, 2, 37, 300)]
+    for eid, n in cases:
         spec = entries[eid].spec
-        ratio = term_ratio(spec)
+        rec = integer_recurrence(spec.fam, spec.z)
         a, b = int(spec.a * 24), int(spec.b * 24)
-        full = split_range(ratio, a, b, 0, n)
-        lean = split_range(ratio, a, b, 0, n, False)
-        assert (lean.Q, lean.T) == (full.Q, full.T)
+        full = split_range(rec, a, b, 0, n)
+        lean = split_range(rec, a, b, 0, n, False)
+        assert (lean.Q, lean.T, lean.U) == (full.Q, full.T, full.U)
         assert lean.P is None and full.P is not None
+    for eid in SPLIT_IDS:
+        spec = entries[eid].spec
+        rec = integer_recurrence(spec.fam, spec.z)
+        for lo, hi in RANGES:
+            full, lean = split_range(rec, 1, 8, lo, hi), split_range(rec, 1, 8, lo, hi, False)
+            assert (lean.Q, lean.T, lean.U) == (full.Q, full.T, full.U)
 
 
 def test_partial_sums_exact(entries, monkeypatch):
-    # a 256-bit gcd limit mixes reduced and unreduced merges in one split;
-    # s16-11 stops at 300 terms, where its Fraction reference is still cheap
+    # gcd limits of 0 and 256 bits mix reduced and unreduced merges in one
+    # split; s16-11 stops at 300 terms, where its Fraction reference is still
+    # cheap
     targets = [1, 2, 3, 10, 37, 128, 1000]
-    limits = (binsplit._GCD_MAX_BITS, 256)
-    for eid, last in [("s12-04", 1000), ("s14-01", 1000), ("s14-08", 1000), ("s16-11", 300)]:
+    limits = ((hyper._GCD_MIN_BITS, hyper._GCD_MAX_BITS), (0, 256))
+    cases = [("s12-04", 1000), ("s14-01", 1000), ("s14-08", 1000), ("s16-11", 300)]
+    cases += [("domb-16n3", 300), ("start-1/3", 300), ("sun-cor2a", 300)]
+    for eid, last in cases:
         spec = entries[eid].spec
         acc = QQ(0)
         n = 0
@@ -102,16 +129,44 @@ def test_partial_sums_exact(entries, monkeypatch):
             while n < target:
                 acc += (spec.a + spec.b * n) * coeff(spec.fam, n) * spec.z**n
                 n += 1
-            for limit in limits:
-                monkeypatch.setattr(binsplit, "_GCD_MAX_BITS", limit)
-                assert partial_sum(spec, target) == acc
+            for low, high in limits:
+                monkeypatch.setattr(hyper, "_GCD_MIN_BITS", low)
+                monkeypatch.setattr(hyper, "_GCD_MAX_BITS", high)
+                assert sum_terms(spec.fam, spec.a, spec.b, spec.z, target) == acc
 
 
 def test_terms_needed_covers_tolerance(entries):
     spec = entries["s12-04"].spec
-    n = terms_needed(spec.z, 50)
+    n = terms_needed(spec.fam, spec.z, 50)
     tail = abs(coeff(spec.fam, n) * spec.z**n) * (spec.a + spec.b * n)
     assert tail < QQ(1, 10**55)
+    # the certified tail of a slow second-order entry is below 10^-digits too
+    spec = entries["domb-16n3"].spec
+    for digits in (50, 500):
+        n = terms_needed(spec.fam, spec.z, digits)
+        assert hyper.tail_bound(spec.fam, spec.a, spec.b, spec.z, n) < QQ(1, 10**digits)
+
+
+def test_terms_needed_zero_and_tiny_z():
+    fam = hyper3F2(QQ(1, 2))
+    assert terms_needed(fam, 0, 10) == 1
+    assert terms_needed(fam, QQ(1, 10**400), 10) == 11
+    assert terms_needed(hyper.domb(), QQ(-1, 10**400), 1000) == 13
+
+
+@pytest.mark.parametrize("digits", [50, 500])
+@pytest.mark.parametrize("eid", ["domb-16n3", "start-1/3", "sun-cor2a"])
+def test_second_order_first_attempt_decides(entries, monkeypatch, eid, digits):
+    calls = []
+    counted = binsplit.terms_needed
+
+    def spy(fam, z, digits):
+        calls.append(digits)
+        return counted(fam, z, digits)
+
+    monkeypatch.setattr(binsplit, "terms_needed", spy)
+    assert pi_digits(entries[eid], digits) == oracle_digits(digits)
+    assert calls == [digits]
 
 
 def test_pi_digits_one_digit(entries):
@@ -145,9 +200,9 @@ def test_undecided_interval_retries(entries, monkeypatch):
     calls = []
     counted = binsplit.terms_needed
 
-    def spy(z, digits):
+    def spy(fam, z, digits):
         calls.append(digits)
-        return counted(z, digits)
+        return counted(fam, z, digits)
 
     monkeypatch.setattr(binsplit, "terms_needed", spy)
     out = pi_digits(entries["s14-08"], FEYNMAN_DIGITS)

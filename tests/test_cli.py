@@ -129,6 +129,30 @@ def test_digits_out_and_check(tmp_path):
     assert "all 40 digits match the oracle" in out
 
 
+@pytest.mark.parametrize("digits", ["50", "500"])
+@pytest.mark.parametrize("eid", ["domb-16n3", "start-1/3", "sun-cor2a"])
+def test_digits_check_second_order_families(eid, digits):
+    code, out, err = run_cli(["digits", "--id", eid, "--digits", digits, "--check"])
+    assert code == 0, err
+    assert out.endswith(f"check: all {digits} digits match the oracle\n")
+
+
+@pytest.mark.parametrize("z", ["0", "1/1" + "0" * 400])
+def test_digits_zero_or_tiny_z_is_no_internal_error(monkeypatch, tmp_path, z):
+    doc = json.loads((DATA_DIR / "catalog.json").read_text())
+    for entry in doc["entries"]:
+        if entry["id"] == "s12-04":
+            entry["z"] = z
+    (tmp_path / "catalog.json").write_text(json.dumps(doc))
+    shutil.copy(DATA_DIR / "certificates.json", tmp_path)
+    monkeypatch.setenv("RPV_CATALOG", str(tmp_path / "catalog.json"))
+    t0 = time.perf_counter()
+    code, _, err = run_cli(["digits", "--id", "s12-04", "--digits", "10"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code in (0, 1), err
+    assert "internal error" not in err
+
+
 def test_digits_stdout_stream():
     code, out, _ = run_cli(["digits", "--id", "s12-04", "--digits", "12"])
     assert code == 0

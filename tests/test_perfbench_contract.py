@@ -1,0 +1,61 @@
+"""The names perfbench/tracer.py wraps from outside must stay in rpv.
+
+The benchmark's tracer patches rpv functions by module and attribute name and
+reads the binary split's positional arguments and result, so a rename there
+would silently drop a layer from every traced run.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import tracer  # noqa: E402
+
+sys.path.remove(str(PERFBENCH))
+
+
+def test_every_traced_layer_resolves():
+    for home, attr, *_ in tracer.LAYERS:
+        owner = importlib.import_module(f"rpv.{home}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (home, attr)
+
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+t = Tracer()
+t.install()
+import rpv.cli
+out = {}
+for argv in (["digits", "--id", "s14-08", "--digits", "2000"],
+             ["digits", "--id", "domb-16n3", "--digits", "200"]):
+    t.spans.clear()
+    t.max_depth.clear()
+    assert rpv.cli.main(argv) == 0, argv
+    out[argv[2]] = t.summary().get("binsplit.split")
+print(json.dumps(out))
+"""
+
+
+def test_traced_digit_runs_report_the_split():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(PERFBENCH)],
+        env=dict(os.environ, RPV_PURE="1"),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(proc.stdout.strip().splitlines()[-1])
+    for eid in ("s14-08", "domb-16n3"):
+        split = spans[eid]
+        assert split is not None, eid
+        assert {"terms", "q_bits", "t_bits", "depth"} <= set(split), (eid, split)
+        assert split["terms"] > 0 and split["depth"] > 1, (eid, split)

@@ -1,12 +1,15 @@
 """Property test: sum_terms equals the Fraction sum for every family.
 
 Any rational s, a and b, z of either sign strictly inside the family's
-envelope (z = 0 included) and N from 1 to 600 terms.
+envelope (z = 0 included) and N from 1 to 600 terms, with the split's gcd
+limits at their defaults and at 0 and 256 bits, where reduced and unreduced
+merges mix.
 """
 
 import pytest
 
 from rpv._backend import QQ
+from rpv import hyper
 from rpv.hyper import CoeffFamily, family_envelope, sum_terms
 from test_summation import reference_sum
 
@@ -38,4 +41,10 @@ def _inputs(draw):
 @example((CoeffFamily("convCentral", QQ(1, 3)), QQ(-2, 7), QQ(5, 3), QQ(-49, 200), 600))
 @example((CoeffFamily("domb", QQ(0)), QQ(3), QQ(16), QQ(1, 65), 600))
 def test_split_equals_fraction_sum(args):
-    assert sum_terms(*args) == reference_sum(*args)
+    want = reference_sum(*args)
+    default = hyper._GCD_MIN_BITS, hyper._GCD_MAX_BITS
+    try:
+        for hyper._GCD_MIN_BITS, hyper._GCD_MAX_BITS in (default, (0, 256)):
+            assert sum_terms(*args) == want
+    finally:
+        hyper._GCD_MIN_BITS, hyper._GCD_MAX_BITS = default
