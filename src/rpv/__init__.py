@@ -14,7 +14,8 @@ Layers, bottom up:
 * cli       — the `rpv` command-line entry point.
 """
 
-from ._backend import BACKEND
+# the one arithmetic: stdlib int, fractions.Fraction and math.isqrt
+BACKEND = "fraction"
 
 __all__ = ["BACKEND", "__version__"]
 __version__ = "0.1.0"

@@ -13,8 +13,9 @@ with more guard digits and terms.
 from __future__ import annotations
 
 import math
+from fractions import Fraction as QQ
+from math import isqrt
 
-from ._backend import QQ, isqrt, qq_den, qq_num
 from .errors import DivergentInput, InvariantViolation, NonExactConstant
 from .hyper import converges, family_envelope, integer_recurrence, split_range, tail_bound
 from .numerics import BigApprox, fixed_div, int_to_decimal_str, pi_oracle
@@ -25,20 +26,17 @@ def terms_needed(fam, z, digits: int) -> int:
     is 10^-digits, plus slack; 1 when z = 0, where the tail is 0.
 
     The rate -log(|z| R) comes from exact integer logs of z = u/v and R.  The
-    slack is 10 terms, and for every envelope but hyper3F2's (R, deg) = (1, 0)
-    also log(N+1)/rate per power of n in the tail term (a+bn)(n+1)^deg and
-    two decimal digits, so that the first attempt decides.  hyper3F2 keeps
-    the N it always had; its slow entries (|z| > 1/e) may retry once.
+    slack is 10 terms, log(N+1)/rate per power of n in the tail term
+    (a+bn)(n+1)^deg and two decimal digits, so that the first attempt decides.
     """
     z = QQ(z)
-    u = abs(qq_num(z))
+    u = abs(z.numerator)
     if not u:
         return 1
     R, deg = family_envelope(fam)
-    rate = math.log(qq_den(z)) - math.log(u) - math.log(R)
+    rate = math.log(z.denominator) - math.log(u) - math.log(R)
     n = digits * math.log(10.0) / rate
-    if (R, deg) != (1, 0):
-        n += ((deg + 1) * math.log(n + 1) + math.log(100)) / rate
+    n += ((deg + 1) * math.log(n + 1) + math.log(100)) / rate
     return math.ceil(n) + 10
 
 
@@ -68,8 +66,8 @@ def pi_digits(entry, digits: int) -> str:
     if spec.c.t:
         raise NonExactConstant("digit computation needs a real radical constant")
     rec = integer_recurrence(spec.fam, spec.z)
-    scale = math.lcm(qq_den(spec.a), qq_den(spec.b))
-    a, b = qq_num(spec.a * scale), qq_num(spec.b * scale)
+    scale = math.lcm(spec.a.denominator, spec.b.denominator)
+    a, b = (spec.a * scale).numerator, (spec.b * scale).numerator
     for extra in _RETRY_EXTRA:
         n = terms_needed(spec.fam, spec.z, digits + extra)
         node = split_range(rec, a, b, 0, n, False)
@@ -105,7 +103,7 @@ def _rsqrt(m: int, p: int) -> int:
     """y ~ 2^p/sqrt(m) by Newton's y += y (2^(2p) - m y^2)/2^(2p+1) from
     the result at about half the precision (multiplications only)."""
     if p <= 1000:
-        return int(isqrt((1 << (2 * p)) // m))
+        return isqrt((1 << (2 * p)) // m)
     h = (p + m.bit_length()) // 2 + 4
     yh = _rsqrt(m, h)
     f = (1 << (2 * h)) - m * yh * yh
@@ -121,10 +119,10 @@ def _decide_digits(spec, scale, node, tail, digits: int, guard: int):
         raise InvariantViolation(f"{spec} does not sum to a positive value")
     man, err = fixed_div(node.Q, T, prec)
     ratio = BigApprox(man, prec, err)
-    v = (ratio * _sqrt_fixed(spec.c.m, prec)).mul_int(abs(qq_num(c))).div_int(qq_den(c))
+    v = (ratio * _sqrt_fixed(spec.c.m, prec)).mul_int(abs(c.numerator)).div_int(c.denominator)
     # |pi - pi_N| <= pi_N t/(|T/Q| - t) <= V t A/(2^prec - t A) ulps, with
     # V >= pi_N 2^prec, A >= (Q/T) 2^prec and t = tn/td the tail bound
-    tn, td = qq_num(tail), qq_den(tail)
+    tn, td = tail.numerator, tail.denominator
     vm, ve = _top(v.man + v.err)
     am, ae = _top(man + err)
     room = (td << prec) - ((tn * am) << ae)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from fractions import Fraction as QQ
 from functools import lru_cache
 from pathlib import Path
 
-from ._backend import QQ
 from .errors import InvariantViolation, ParseError
 from .hyper import Report, domb, eval_numeric, family_envelope, parse_family
 from .numerics import (

@@ -285,8 +285,12 @@ def _run_digits(args) -> int:
     digits = pi_digits(entry, args.digits)
     text = digits_file_text(digits)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"rpv: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.digits} digits from {entry.id} to {args.out}")
     else:
         sys.stdout.write(text)

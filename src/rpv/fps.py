@@ -13,16 +13,16 @@ denominator ``den``, so coefficient k is ``nums[k] / den``.  The form is
 canonical, ``den > 0`` and ``gcd(den, *nums) == 1``, which makes ``den`` the
 lcm of the reduced coefficient denominators and equality a comparison of
 integers.  The kernels below work on ``(nums, den)`` directly and reduce by
-one gcd pass per result; backend rationals appear only at the edges, in
+one gcd pass per result; Fractions appear only at the edges, in
 ``Series(coeffs)`` and the derived ``coeffs`` tuple.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as QQ
 from math import gcd, lcm
 from operator import mul
 
-from ._backend import QQ, qq_den, qq_num
 from .errors import (
     DenominatorVanishesAtZero,
     NonUnitConstantTerm,
@@ -39,9 +39,9 @@ class Series:
         cs = tuple(QQ(c) for c in coeffs)
         if not cs:
             raise ValueError("a Series needs at least the constant term")
-        den = lcm(*map(qq_den, cs))
+        den = lcm(*(c.denominator for c in cs))
         # each coefficient is reduced, so gcd(den, *nums) == 1 already
-        object.__setattr__(self, "nums", tuple(qq_num(c) * (den // qq_den(c)) for c in cs))
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in cs))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_coeffs", cs)
 
@@ -50,7 +50,7 @@ class Series:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as backend rationals, built once on first use."""
+        """The coefficients as Fractions, built once on first use."""
         if self._coeffs is None:
             object.__setattr__(self, "_coeffs", tuple(QQ(k, self.den) for k in self.nums))
         return self._coeffs
@@ -123,8 +123,8 @@ def fps_sub(a: Series, b: Series) -> Series:
 
 def fps_scale(a: Series, q) -> Series:
     q = QQ(q)
-    p = qq_num(q)
-    return _series([k * p for k in a.nums], a.den * qq_den(q))
+    p = q.numerator
+    return _series([k * p for k in a.nums], a.den * q.denominator)
 
 
 def fps_mul(a: Series, b: Series) -> Series:
@@ -178,7 +178,7 @@ def fps_pow_rational(base: Series, e) -> Series:
     if base.nums[0] != base.den:
         raise NonUnitConstantTerm("fps_pow_rational needs constant term 1")
     e = QQ(e)
-    p, q = qq_num(e), qq_den(e)
+    p, q = e.numerator, e.denominator
     n = base.order
     bs = base.nums[1:]
     kbs = [k * b for k, b in enumerate(bs, 1)]

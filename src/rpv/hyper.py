@@ -50,9 +50,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction as QQ
 from typing import NamedTuple
 
-from ._backend import QQ, qq_den, qq_num
 from .errors import DivergentInput, ParseError
 from .fps import Series, fps_mul
 from .numerics import BigApprox, RadConst, format_rational, parse_rational, pi_oracle
@@ -77,7 +77,7 @@ def hyper_series(upper, lower, order: int) -> Series:
     upper = [QQ(u) for u in upper]
     lower = [QQ(l) for l in lower]
     for l in lower:
-        if l <= 0 and qq_den(l) == 1:
+        if l <= 0 and l.denominator == 1:
             raise ValueError(f"nonpositive integer lower parameter {l}")
     cs = [QQ(1)]
     for n in range(order):
@@ -137,10 +137,6 @@ def parse_family(text: str) -> CoeffFamily:
 _stream_cache: dict = {}
 
 
-def _cache_key(fam: CoeffFamily):
-    return (fam.kind, qq_num(fam.s), qq_den(fam.s))
-
-
 def _poly_prod(c, *factors) -> tuple:
     """c times the product of the given polynomials in n (low degree first)."""
     out = poly([c])
@@ -185,12 +181,12 @@ def integer_recurrence(fam: CoeffFamily, z) -> tuple[tuple, tuple, tuple]:
     """
     P, Q = family_recurrence(fam)
     z = QQ(z)
-    u, v = qq_num(z), qq_den(z)
-    d = math.lcm(*(qq_den(c) for c in P + Q))
+    u, v = z.numerator, z.denominator
+    d = math.lcm(*(c.denominator for c in P + Q))
     k = 2 if Q else 1
     return (
-        tuple(u * v ** (k - 1) * qq_num(c * d) for c in P),
-        tuple(u * u * qq_num(c * d) for c in Q),
+        tuple(u * v ** (k - 1) * (c * d).numerator for c in P),
+        tuple(u * u * (c * d).numerator for c in Q),
         tuple(v**k * d * c for c in (1, 3, 3, 1)),
     )
 
@@ -204,7 +200,7 @@ def int_poly_eval(p: tuple, n: int) -> int:
 
 
 def _extend(fam: CoeffFamily, n: int) -> list:
-    cache = _stream_cache.setdefault(_cache_key(fam), [QQ(1)])
+    cache = _stream_cache.setdefault(fam, [QQ(1)])
     if len(cache) > n:
         return cache
     P, Q = family_recurrence(fam)
@@ -331,8 +327,8 @@ def sum_terms(fam: CoeffFamily, a, b, z, N: int):
     if N < 1:
         raise ValueError("sum_terms needs N >= 1")
     a, b = QQ(a), QQ(b)
-    L = math.lcm(qq_den(a), qq_den(b))
-    node = split_range(integer_recurrence(fam, z), qq_num(a * L), qq_num(b * L), 0, N, False)
+    L = math.lcm(a.denominator, b.denominator)
+    node = split_range(integer_recurrence(fam, z), (a * L).numerator, (b * L).numerator, 0, N, False)
     return QQ(node.T, node.Q * L)
 
 

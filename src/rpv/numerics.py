@@ -2,7 +2,7 @@
 
 Three value kinds cover everything the engine needs:
 
-* rationals (backend QQ), parsed/printed strictly as "p/q" or "p" — decimal
+* rationals (Fraction), parsed/printed strictly as "p/q" or "p" — decimal
   literals are rejected so data files cannot smuggle in rounded values;
 * RadConst — exact constants r*sqrt(m)*i^t with r rational, m a square-free
   positive integer and t in {0,1}.  Every series constant c and every
@@ -23,9 +23,10 @@ from __future__ import annotations
 import math as _math
 import re
 from dataclasses import dataclass
+from fractions import Fraction as QQ
 from functools import lru_cache
+from math import isqrt
 
-from ._backend import QQ, isqrt, qq_den, qq_num
 from .errors import IncompatibleRadicals, ParseError
 
 # ============================================================
@@ -69,7 +70,7 @@ def parse_rational(text: str):
 
 
 def format_rational(q) -> str:
-    n, d = qq_num(q), qq_den(q)
+    n, d = q.numerator, q.denominator
     return str(n) if d == 1 else f"{n}/{d}"
 
 
@@ -150,7 +151,7 @@ class RadConst:
         t = 0
         if q < 0:
             q, t = -q, 1
-        p, d = qq_num(q), qq_den(q)
+        p, d = q.numerator, q.denominator
         s, m = squarefree_decompose(p * d)
         return cls(QQ(s, d), m, t)
 
@@ -247,7 +248,7 @@ class RadConst:
         )
 
     def __hash__(self) -> int:
-        return hash((qq_num(self.r), qq_den(self.r), self.m, self.t))
+        return hash((self.r, self.m, self.t))
 
 
 def rad_pow_half(v, p: int) -> RadConst:
@@ -333,7 +334,7 @@ class BigApprox:
 
     @classmethod
     def from_rational(cls, q, prec: int) -> "BigApprox":
-        n, d = qq_num(q), qq_den(q)
+        n, d = q.numerator, q.denominator
         man = (n << prec) // d  # floor; off by < 1 ulp
         return cls(man, prec, 0 if (n << prec) % d == 0 else 1)
 
@@ -343,7 +344,7 @@ class BigApprox:
         folded into err as floor(tail * 2^prec) + 1 ulps."""
         out = cls.from_rational(total, prec)
         tail = QQ(tail)
-        return cls(out.man, prec, out.err + (qq_num(tail) << prec) // qq_den(tail) + 1)
+        return cls(out.man, prec, out.err + (tail.numerator << prec) // tail.denominator + 1)
 
     @classmethod
     def sqrt_int(cls, m: int, prec: int) -> "BigApprox":
@@ -358,7 +359,7 @@ class BigApprox:
 
     def __float__(self) -> float:
         sh = max(self.prec - 64, 0)  # avoid huge-int / float overflow
-        return _math.ldexp(float(int(self.man >> sh)), sh - self.prec)
+        return _math.ldexp(float(self.man >> sh), sh - self.prec)
 
     def err_bound_lt_pow10(self, digits: int) -> bool:
         """True iff the error bound is provably < 10^-digits."""
@@ -417,7 +418,7 @@ class BigApprox:
         return BigApprox(man, self.prec, err)
 
     def mul_rational(self, q) -> "BigApprox":
-        return self.mul_int(qq_num(q)).div_int(qq_den(q))
+        return self.mul_int(q.numerator).div_int(q.denominator)
 
     def sqrt(self) -> "BigApprox":
         P = self.prec
@@ -669,7 +670,7 @@ def sin_pi(s, digits: int = 30):
     s = QQ(s)
     if not (0 < s < 1):
         raise ValueError("sin_pi requires 0 < s < 1")
-    key = (qq_num(s), qq_den(s))
+    key = (s.numerator, s.denominator)
     if key in _EXACT_SIN:
         return _EXACT_SIN[key]
     if s > QQ(1, 2):

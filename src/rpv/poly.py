@@ -1,6 +1,6 @@
 """Dense rational polynomials, rational functions, and rational roots.
 
-Polynomials are tuples of backend rationals, constant term first, with the
+Polynomials are tuples of Fractions, constant term first, with the
 trailing zeros trimmed (the zero polynomial is the empty tuple).  This is the
 shared building block for transformation-rule data (argument maps A, C and
 prefactor bases) and for binary-splitting term ratios.
@@ -8,7 +8,8 @@ prefactor bases) and for binary-splitting term ratios.
 
 from __future__ import annotations
 
-from ._backend import QQ, qq_den, qq_num
+from fractions import Fraction as QQ
+
 from .errors import SingularPoint
 
 
@@ -144,8 +145,8 @@ def rational_roots(p: tuple) -> tuple[list, int]:
     if poly_degree(p) >= 1:
         from math import lcm
 
-        scale = lcm(*(qq_den(c) for c in p))
-        ip = [qq_num(c) * (scale // qq_den(c)) for c in p]
+        scale = lcm(*(c.denominator for c in p))
+        ip = [c.numerator * (scale // c.denominator) for c in p]
         lead, const = ip[-1], ip[0]
         cands = set()
         for a in _divisors(const):

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction as QQ
 from math import comb
 
-from ._backend import QQ, qq_den, qq_num
 from .errors import GateRefused, InvariantViolation, NoConvergenceDetected
 from .fps import Series, fps_mul, fps_pow_rational
 from .hyper import (
@@ -110,7 +110,7 @@ def corollary_binomial_check(s, n_max: int, base: int | None = None) -> CheckRep
     c_n (1/2)^n exactly; `base` defaults to the printed value 2B.
     """
     s = QQ(s)
-    key = (int(qq_num(s)), int(qq_den(s)))
+    key = (s.numerator, s.denominator)
     if key not in _BINOM_FORMS:
         raise ValueError(f"no central-binomial form for s = {format_rational(s)}")
     b, stream_base = _BINOM_FORMS[key]
@@ -373,7 +373,7 @@ def limit_eval(
     not Cauchy within tolerance by k_max (or the ladder becomes too steep)."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    p, q = int(qq_num(spec.family.s)), int(qq_den(spec.family.s))
+    p, q = spec.family.s.numerator, spec.family.s.denominator
     cutoff = 10.0 ** -(digits + 5)
     target = spec.target_float()
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction as QQ
 from importlib import resources
 
-from ._backend import QQ, qq_den, qq_num
 from .errors import (
     DivergentInput,
     ParseError,
@@ -86,10 +86,10 @@ class Prefactor:
                 raise SingularPoint(
                     f"prefactor base {list(p)} vanishes at x = {format_rational(x0)}"
                 )
-            if qq_den(e) == 1:
-                out = out * RadConst(v).pow_int(qq_num(e))
+            if e.denominator == 1:
+                out = out * RadConst(v).pow_int(e.numerator)
             else:
-                out = out * rad_pow_half(v, qq_num(e))
+                out = out * rad_pow_half(v, e.numerator)
         return out
 
     def series(self, order: int) -> Series:
@@ -100,12 +100,10 @@ class Prefactor:
             p0 = poly_eval(p, QQ(0))
             if p0 == 0:
                 raise SingularPoint("prefactor base vanishes at x = 0")
-            if qq_den(e) == 1:
-                const *= p0 ** int(qq_num(e)) if qq_num(e) >= 0 else 1 / (
-                    p0 ** int(-qq_num(e))
-                )
+            if e.denominator == 1:
+                const *= p0 ** e.numerator
             else:
-                c = rad_pow_half(p0, qq_num(e))
+                c = rad_pow_half(p0, e.numerator)
                 if not c.is_rational():
                     raise UnrepresentableConstant(
                         f"{format_rational(p0)}^({e}) is not rational; "
@@ -220,7 +218,7 @@ def _parse_prefactor(spec) -> Prefactor:
         for f in spec.get("factors", ())
     )
     for _, e in factors:
-        if qq_den(e) not in (1, 2):
+        if e.denominator not in (1, 2):
             raise ParseError(f"prefactor exponent {e} must be a half-integer")
     return Prefactor(scale, factors)
 

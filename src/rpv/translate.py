@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction as QQ
 from math import gcd, lcm
 
-from ._backend import QQ, qq_den, qq_num
 from .errors import ArgumentMismatch, GateRefused, ParseError, SingularPoint
 from .hyper import CheckReport, CoeffFamily, family_envelope, parse_family
 from .numerics import RadConst, format_rational, parse_radconst, parse_rational
@@ -106,8 +106,8 @@ class SeriesSpec:
         a, b = QQ(self.a), QQ(self.b)
         if a == 0 and b == 0:
             raise ValueError("spec with a = b = 0")
-        d = lcm(qq_den(a), qq_den(b))
-        ia, ib = qq_num(a) * (d // qq_den(a)), qq_num(b) * (d // qq_den(b))
+        d = lcm(a.denominator, b.denominator)
+        ia, ib = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
         g = gcd(abs(ia), abs(ib))
         k = QQ(d, g)
         lead = ib if ib != 0 else ia

@@ -3,10 +3,10 @@
 import math
 import random
 import time
+from fractions import Fraction as QQ
 
 import pytest
 
-from rpv._backend import QQ, qq_den, qq_num
 from rpv.binsplit import oracle_digits, pi_digits
 from rpv.catalog import load_catalog, verify_all
 from rpv.errors import GateRefused
@@ -207,7 +207,7 @@ def test_divergent_continuation_values(entries):
     mpmath = pytest.importorskip("mpmath")
 
     def mpq(q):
-        return mpmath.mpf(qq_num(q)) / qq_den(q)
+        return mpmath.mpf(q.numerator) / q.denominator
 
     with mpmath.workdps(40):
         eps = mpmath.mpf(10) ** -60

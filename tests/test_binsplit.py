@@ -2,11 +2,11 @@
 
 import math
 import random
+from fractions import Fraction as QQ
 
 import pytest
 
 from rpv import binsplit, hyper
-from rpv._backend import QQ
 from rpv.binsplit import digits_file_text, oracle_digits, pi_digits, terms_needed
 from rpv.catalog import load_catalog
 from rpv.errors import DivergentInput, InvariantViolation, NonExactConstant
@@ -154,9 +154,7 @@ def test_terms_needed_zero_and_tiny_z():
     assert terms_needed(hyper.domb(), QQ(-1, 10**400), 1000) == 13
 
 
-@pytest.mark.parametrize("digits", [50, 500])
-@pytest.mark.parametrize("eid", ["domb-16n3", "start-1/3", "sun-cor2a"])
-def test_second_order_first_attempt_decides(entries, monkeypatch, eid, digits):
+def _first_attempt_decides(entry, monkeypatch, digits):
     calls = []
     counted = binsplit.terms_needed
 
@@ -165,8 +163,21 @@ def test_second_order_first_attempt_decides(entries, monkeypatch, eid, digits):
         return counted(fam, z, digits)
 
     monkeypatch.setattr(binsplit, "terms_needed", spy)
-    assert pi_digits(entries[eid], digits) == oracle_digits(digits)
+    assert pi_digits(entry, digits) == oracle_digits(digits)
     assert calls == [digits]
+
+
+@pytest.mark.parametrize("digits", [50, 500])
+@pytest.mark.parametrize("eid", ["domb-16n3", "start-1/3", "sun-cor2a"])
+def test_second_order_first_attempt_decides(entries, monkeypatch, eid, digits):
+    _first_attempt_decides(entries[eid], monkeypatch, digits)
+
+
+# slow hyper3F2 entries (|z| > 1/e): the slack for the weight's n decides them
+@pytest.mark.parametrize("digits", [50, 500])
+@pytest.mark.parametrize("eid", ["s13-01", "s13-06", "s16-01"])
+def test_slow_first_order_first_attempt_decides(entries, monkeypatch, eid, digits):
+    _first_attempt_decides(entries[eid], monkeypatch, digits)
 
 
 def test_pi_digits_one_digit(entries):
@@ -234,14 +245,12 @@ def test_file_text_format():
 
 
 def test_pure_backend_long_run():
-    # 6000 digits exceeds CPython's default int->str conversion guard, which
-    # only bites on the stdlib backend
-    import os
+    # 6000 digits exceeds CPython's default int->str conversion guard
     import subprocess
     import sys
 
     script = (
-        "from rpv._backend import BACKEND\n"
+        "from rpv import BACKEND\n"
         "from rpv.binsplit import oracle_digits, pi_digits\n"
         "from rpv.catalog import load_catalog\n"
         "assert BACKEND == 'fraction', BACKEND\n"
@@ -251,7 +260,6 @@ def test_pure_backend_long_run():
     )
     out = subprocess.run(
         [sys.executable, "-c", script],
-        env=dict(os.environ, RPV_PURE="1"),
         capture_output=True,
         text=True,
     )

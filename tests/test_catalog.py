@@ -3,11 +3,11 @@
 import importlib.util
 import json
 import shutil
+from fractions import Fraction as QQ
 from pathlib import Path
 
 import pytest
 
-from rpv._backend import QQ
 from rpv.catalog import (
     DATA_DIR,
     CatalogEntry,

@@ -8,11 +8,11 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction as QQ
 
 import pytest
 
 import rpv.special
-from rpv._backend import QQ
 from rpv.binsplit import digits_file_text, oracle_digits
 from rpv.catalog import DATA_DIR
 from rpv.cli import main, render_json
@@ -127,6 +127,15 @@ def test_digits_out_and_check(tmp_path):
     assert code == 0
     assert target.read_text() == digits_file_text(oracle_digits(40))
     assert "all 40 digits match the oracle" in out
+
+
+def test_digits_unwritable_out_exits_2(tmp_path):
+    # a directory stands in for every OSError on the write; a read-only file
+    # does not, since root may write it
+    code, _, err = run_cli(["digits", "--id", "s12-04", "--digits", "10", "--out", str(tmp_path)])
+    assert code == 2
+    assert str(tmp_path) in err
+    assert "internal error" not in err
 
 
 @pytest.mark.parametrize("digits", ["50", "500"])

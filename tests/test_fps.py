@@ -1,10 +1,10 @@
 """Formal power series: hand examples plus randomized ring/derivation laws."""
 
 import random
+from fractions import Fraction as QQ
 
 import pytest
 
-from rpv._backend import QQ
 from rpv.errors import (
     DenominatorVanishesAtZero,
     NonUnitConstantTerm,

@@ -10,11 +10,11 @@ of fps_compose: a change to outer coefficient k must show first at index k.
 """
 
 from dataclasses import replace
+from fractions import Fraction as QQ
 from math import gcd, lcm
 
 import pytest
 
-from rpv._backend import QQ
 from rpv.errors import (
     DenominatorVanishesAtZero,
     NonUnitConstantTerm,

@@ -1,11 +1,11 @@
 """Coefficient families, certified summation, Clausen/Gauss checks."""
 
 import random
+from fractions import Fraction as QQ
 from math import comb
 
 import pytest
 
-from rpv._backend import QQ
 from rpv.errors import DivergentInput
 from rpv.fps import Series, fps_mul
 from rpv.hyper import (

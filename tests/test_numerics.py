@@ -9,10 +9,10 @@ import io
 import json
 import random
 import time
+from fractions import Fraction as QQ
 
 import pytest
 
-from rpv._backend import QQ
 from rpv.errors import IncompatibleRadicals, ParseError
 from rpv.numerics import (
     BigApprox,

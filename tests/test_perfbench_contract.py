@@ -1,16 +1,21 @@
-"""The names perfbench/tracer.py wraps from outside must stay in rpv.
+"""The names perfbench/tracer.py wraps from outside must stay in rpv, and the
+outputs perfbench/expected.json records must stay byte-identical.
 
 The benchmark's tracer patches rpv functions by module and attribute name and
 reads the binary split's positional arguments and result, so a rename there
 would silently drop a layer from every traced run.
 """
 
+import contextlib
+import hashlib
 import importlib
+import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+import rpv.cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -48,7 +53,6 @@ print(json.dumps(out))
 def test_traced_digit_runs_report_the_split():
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(PERFBENCH)],
-        env=dict(os.environ, RPV_PURE="1"),
         capture_output=True,
         text=True,
     )
@@ -59,3 +63,14 @@ def test_traced_digit_runs_report_the_split():
         assert split is not None, eid
         assert {"terms", "q_bits", "t_bits", "depth"} <= set(split), (eid, split)
         assert split["terms"] > 0 and split["depth"] > 1, (eid, split)
+
+
+def test_canonical_outputs_match_recorded_digests(monkeypatch):
+    # the benchmark checks these outputs byte for byte against its record
+    monkeypatch.delenv("RPV_CATALOG", raising=False)
+    recorded = json.loads((PERFBENCH / "expected.json").read_text())["outputs"]
+    for key, digest in recorded.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert rpv.cli.main(key.split()) == 0, key
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, key

@@ -3,11 +3,11 @@
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction as QQ
 from math import comb
 
 import pytest
 
-from rpv._backend import QQ
 from rpv.errors import InvariantViolation, NoConvergenceDetected
 from rpv import special
 from rpv.hyper import gauss_half_check, hyper3F2, hyper_series, square2F1

@@ -6,11 +6,11 @@ for the catalog and the rule gates must come out as the same BigApprox.
 """
 
 import json
+from fractions import Fraction as QQ
 
 import pytest
 
 from rpv import hyper, transforms
-from rpv._backend import QQ
 from rpv.catalog import DATA_DIR, load_catalog
 from rpv.hyper import (
     _eval_2f1_half,

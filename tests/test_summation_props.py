@@ -6,9 +6,10 @@ limits at their defaults and at 0 and 256 bits, where reduced and unreduced
 merges mix.
 """
 
+from fractions import Fraction as QQ
+
 import pytest
 
-from rpv._backend import QQ
 from rpv import hyper
 from rpv.hyper import CoeffFamily, family_envelope, sum_terms
 from test_summation import reference_sum

@@ -1,10 +1,10 @@
 """Transformation rules: loading, formal verification, numeric gates."""
 
 import random
+from fractions import Fraction as QQ
 
 import pytest
 
-from rpv._backend import QQ
 from rpv.errors import DivergentInput, ParseError, SingularPoint, UnrepresentableConstant
 from rpv.fps import Series, fps_mul, fps_pow_rational
 from rpv.hyper import converges, family_envelope

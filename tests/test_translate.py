@@ -1,10 +1,10 @@
 """Tests for exact theta-transport of series specs along rules."""
 
 import time
+from fractions import Fraction as QQ
 
 import pytest
 
-from rpv._backend import QQ
 from rpv.errors import ArgumentMismatch, GateRefused, SingularPoint
 from rpv.hyper import parse_family
 from rpv.numerics import RadConst
