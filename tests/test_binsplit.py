@@ -11,7 +11,7 @@ from rpv.binsplit import digits_file_text, oracle_digits, pi_digits, terms_neede
 from rpv.catalog import load_catalog
 from rpv.errors import DivergentInput, InvariantViolation, NonExactConstant
 from rpv.hyper import coeff, integer_recurrence, int_poly_eval, split_range, sum_terms
-from rpv.numerics import RadConst
+from rpv.numerics import BigApprox, RadConst
 from rpv.translate import SeriesSpec
 from rpv.hyper import hyper3F2
 
@@ -227,6 +227,36 @@ def test_never_emits_undecided_digits(entries, monkeypatch):
     monkeypatch.setattr(binsplit, "tail_bound", lambda *args: QQ(1, 10**8))
     with pytest.raises(InvariantViolation, match="undecided"):
         pi_digits(entries["s16-11"], 20)
+
+
+def _straddling_oracle(monkeypatch, widen):
+    """binsplit.pi_oracle with its bound widened to 10^-29 (across a digit
+    boundary of the first 30 digits) on the calls that widen(call) picks."""
+    calls = []
+    oracle = binsplit.pi_oracle
+
+    def fake(digits):
+        calls.append(digits)
+        pi = oracle(digits)
+        if widen(len(calls)):
+            return BigApprox(pi.man, pi.prec, (1 << pi.prec) // 10**29 + 1)
+        return pi
+
+    monkeypatch.setattr(binsplit, "pi_oracle", fake)
+    return calls
+
+
+def test_oracle_digits_retry_when_the_bound_straddles(monkeypatch):
+    calls = _straddling_oracle(monkeypatch, lambda call: call == 1)
+    assert oracle_digits(30) == "314159265358979323846264338327"
+    assert calls == [30 + binsplit._ORACLE_EXTRA[0], 30 + binsplit._ORACLE_EXTRA[1]]
+
+
+def test_oracle_digits_never_emits_undecided_digits(monkeypatch):
+    calls = _straddling_oracle(monkeypatch, lambda call: True)
+    with pytest.raises(InvariantViolation, match="undecided"):
+        oracle_digits(30)
+    assert calls == [30 + extra for extra in binsplit._ORACLE_EXTRA]
 
 
 def test_rejects_divergent_and_imaginary(entries):

@@ -1,7 +1,8 @@
 """Multiplication-only kernels against exact //, math.isqrt and str().
 
 newton_recip and fixed_div (numerics), the reciprocal square root behind
-binsplit's sqrt(m), and the divide-and-conquer decimal output.
+binsplit's sqrt(m) and the square root behind the AGM, and the
+divide-and-conquer decimal output.
 """
 
 import contextlib
@@ -10,8 +11,9 @@ import sys
 
 import pytest
 
-from rpv.binsplit import _rsqrt, _sqrt_fixed
-from rpv.numerics import fixed_div, int_to_decimal_str, newton_recip
+from rpv.binsplit import _sqrt_fixed
+from rpv.numerics import fixed_div, int_to_decimal_str, newton_recip, newton_sqrt
+from rpv.numerics import newton_rsqrt as _rsqrt
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -54,6 +56,30 @@ def test_rsqrt_and_sqrt_fixed_within_bounds(m, prec):
     fl = math.isqrt(m << (2 * prec))
     exact = fl * fl == m << (2 * prec)
     assert v.man - v.err <= fl and fl + (0 if exact else 1) <= v.man + v.err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), BITS)
+def test_newton_sqrt_within_few_units(data, bits):
+    x = _int_of_bits(data, bits)
+    assert abs(newton_sqrt(x) - math.isqrt(x)) <= 2
+
+
+@pytest.mark.parametrize("bits", [1999, 2000, 2001, 2002, 4001, 60_000])
+def test_newton_sqrt_of_squares_and_neighbours(bits):
+    # the AGM's radicands are a fixed-point value shifted up: x = B 2^q
+    s = (1 << (bits // 2)) - 3
+    for x in (s * s - 1, s * s, s * s + 1, s * s + 2 * s, (s * s) << 7):
+        assert abs(newton_sqrt(x) - math.isqrt(x)) <= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 60_000), st.integers(0, 30_000))
+def test_rsqrt_of_large_radicands_within_few_units(data, bits, extra):
+    # newton_rsqrt cuts a radicand wider than its result at every level
+    m = _int_of_bits(data, bits)
+    p = bits // 2 + extra
+    assert abs(_rsqrt(m, p) - math.isqrt((1 << (2 * p)) // m)) <= 2
 
 
 @contextlib.contextmanager

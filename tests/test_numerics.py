@@ -7,12 +7,14 @@ Frozen oracle values (classical constants, independent of the engine):
 import contextlib
 import io
 import json
+import math
 import random
 import time
 from fractions import Fraction as QQ
 
 import pytest
 
+from rpv import numerics
 from rpv.errors import IncompatibleRadicals, ParseError
 from rpv.numerics import (
     BigApprox,
@@ -274,6 +276,68 @@ def test_machin_interval_contains_old_summation(prec):
 @pytest.mark.parametrize("digits", [1, 10, 45, 1000, 20005])
 def test_pi_oracle_bit_identical_to_old_construction(digits):
     assert pi_oracle(digits) == _old_pi_oracle(digits)
+
+
+def _brent_salamin_pi(prec: int) -> int:
+    """The agm_pi the oracle used before Schönhage's variant."""
+    a = 1 << prec
+    b = math.isqrt(1 << (2 * prec - 1))
+    t = 1 << (prec - 2)
+    p = 1
+    while a - b > 4:
+        an = (a + b) >> 1
+        b = math.isqrt(a * b)
+        d = a - an
+        t -= (p * d * d) >> prec
+        a = an
+        p <<= 1
+    s = a + b
+    return (s * s) // (4 * t)
+
+
+@pytest.mark.parametrize(
+    "digits", [1, 5, 10, 30, 45, 55, 80, 100, 300, 1000, 3000, 20005, 20007]
+)
+def test_pi_oracle_identical_over_brent_salamin(digits):
+    # the center and bound of the oracle over the old AGM: man, prec and err
+    pi = pi_oracle(digits)
+    target = prec_for_digits(digits)
+    P = target + 32
+    agm = _brent_salamin_pi(P)
+    mac, mac_err = machin_pi(P)
+    assert pi == BigApprox(agm >> 32, target, ((abs(agm - mac) + mac_err + 2) >> 32) + 2)
+
+
+@pytest.mark.parametrize("gcd_max_bits", [numerics._ATAN_GCD_MAX_BITS, 0])
+@pytest.mark.parametrize("k", [5, 239])
+def test_atan_split_equals_exact_partial_sums(monkeypatch, k, gcd_max_bits):
+    monkeypatch.setattr(numerics, "_ATAN_GCD_MAX_BITS", gcd_max_bits)
+    total, w = QQ(0), QQ(1)  # sum of w_j for j < n, and w_n
+    for n in range(1, 201):
+        total += w
+        w *= QQ(-(2 * n - 1), (2 * n + 1) * k * k)
+        p, q, t = numerics._atan_split(k, 0, n)
+        assert QQ(t, q) == total and QQ(p, q) == w
+        assert numerics._atan_split(k, 0, n, False)[1:] == (q, t)
+    # a range that starts past 0 sums w_j/w_lo
+    p0, q0, t0 = numerics._atan_split(k, 0, 70)
+    p, q, t = numerics._atan_split(k, 70, 200)
+    assert QQ(p0, q0) * QQ(t, q) == total - QQ(t0, q0)
+
+
+def test_pi_oracle_takes_no_large_isqrt(monkeypatch):
+    # every square root above 4000 bits comes from the Newton kernels
+    small = []
+
+    def guarded(x):
+        assert x.bit_length() <= 4000, f"isqrt of {x.bit_length()} bits"
+        small.append(x)
+        return math.isqrt(x)
+
+    monkeypatch.setattr(numerics, "isqrt", guarded)
+    pi = pi_oracle.__wrapped__(20000)
+    assert pi == pi_oracle(20000) and pi.err_bound_lt_pow10(20000)
+    assert small  # the kernels' base cases went through the guard
 
 
 def test_oracle_error_reaches_json_unchanged(monkeypatch):
