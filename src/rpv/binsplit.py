@@ -19,7 +19,7 @@ from math import isqrt  # noqa: F401
 
 from .errors import DivergentInput, InvariantViolation, NonExactConstant
 from .hyper import converges, family_envelope, integer_recurrence, split_range, tail_bound
-from .numerics import BigApprox, fixed_div, int_to_decimal_str, newton_rsqrt, pi_oracle
+from .numerics import BigApprox, fixed_div, int_to_decimal_str, mul, newton_rsqrt, pi_oracle
 
 
 def terms_needed(fam, z, digits: int) -> int:
@@ -97,7 +97,7 @@ def _sqrt_fixed(m: int, prec: int) -> BigApprox:
     """
     L = m.bit_length()
     y = newton_rsqrt(m, prec + L)
-    rho = (1 << (2 * (prec + L))) - m * y * y
+    rho = (1 << (2 * (prec + L))) - m * mul(y, y)
     return BigApprox((m * y) >> L, prec, 1 + -(-abs(rho) // (y << L)))
 
 
@@ -135,7 +135,7 @@ def _interval_digits(man: int, err: int, prec: int, digits: int):
         return None
     # floor(lo 10^(digits-1)) == floor(hi 10^(digits-1)): same digits at both ends
     p10 = 10 ** (digits - 1)
-    scaled = man * p10
+    scaled = mul(man, p10)
     top = scaled >> prec
     frac = scaled - (top << prec)
     spread = err * p10

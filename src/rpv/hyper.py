@@ -33,7 +33,9 @@ binary split (Haible & Papanikolaou, ANTS 1998) of the step on
 (w_n, w_{n-1}, S_n), w_n = t_n z^n: the partial sum comes out as one exact
 rational T/Q, without a Fraction per term.  It serves both sum_terms and the
 digit runs of binsplit.pi_digits.  A first-order family (hyper3F2) carries a
-scalar P, the others a 2x2 block; each merge divides the gcd of the left P
+scalar P, the others a 2x2 block.  Ranges of up to _LEAF terms are
+multiplied out serially and divided by the gcd of their entries; each merge
+above them divides the gcd of the left P
 and the right Q out of both while the smaller has at most _GCD_MAX_BITS
 bits (Cheng, Hanrot, Thome, Zima & Zimmermann, ISSAC 2007), and the P
 products of the right spine, which no merge reads, are skipped.  N is the
@@ -56,7 +58,7 @@ from typing import NamedTuple
 from .errors import DivergentInput, ParseError
 from .fps import Series, fps_mul
 from .numerics import BigApprox, RadConst, format_rational, parse_rational, pi_oracle
-from .numerics import _show_literal, prec_for_digits, rad_to_bigapprox, sin_pi
+from .numerics import _TOOM_BITS, _int_mul, _show_literal, mul, prec_for_digits, rad_to_bigapprox, sin_pi
 from .poly import poly, poly_eval, poly_mul
 
 # ============================================================
@@ -361,6 +363,9 @@ class SplitNode(NamedTuple):
 _GCD_MAX_BITS = 16_000
 _GCD_MIN_BITS = 512
 
+# split_range multiplies out ranges of at most _LEAF terms serially
+_LEAF = 16
+
 # builds a SplitNode without NamedTuple's Python-level __new__, which costs a
 # small split (the catalog's) a tenth of its time
 _node = tuple.__new__
@@ -384,27 +389,23 @@ def split_range(rec, a: int, b: int, lo: int, hi: int, with_p: bool = True) -> S
     merged node by 1/g and drops the factors the terms cancel (Cheng,
     Hanrot, Thome, Zima & Zimmermann, ISSAC 2007).  A merge reads only the
     left sibling's P, so with with_p False the products along the right
-    spine are not formed and P is None there.
+    spine are not formed and P is None there.  A range of at most _LEAF
+    terms is a leaf, multiplied out one term at a time (_split_leaf), and
+    merges whose operands are wide multiply by numerics.mul (Toom-3).
     """
     A, B, D = rec
-    if hi - lo == 1:
-        dn = int_poly_eval(D, lo)
-        if not with_p:
-            p = None
-        elif B:
-            p = int_poly_eval(A, lo), int_poly_eval(B, lo), dn, 0
-        else:
-            p = int_poly_eval(A, lo)
-        return _node(SplitNode, (p, dn, (a + b * lo) * dn, 0))
+    if hi - lo <= _LEAF:
+        return _split_leaf(A, B, D, a, b, lo, hi, with_p)
     mid = (lo + hi) // 2
     lp, lq, lt, lu = split_range(rec, a, b, lo, mid)
     rp, rq, rt, ru = split_range(rec, a, b, mid, hi, with_p)
+    m = mul if lq.bit_length() > _TOOM_BITS else _int_mul
     if not B:
         if lp.bit_length() <= _GCD_MAX_BITS or rq.bit_length() <= _GCD_MAX_BITS:
             g = math.gcd(lp, rq)
             if g > 1:
                 lp, rq = lp // g, rq // g
-        return _node(SplitNode, (lp * rp if with_p else None, lq * rq, lt * rq + lp * rt, 0))
+        return _node(SplitNode, (m(lp, rp) if with_p else None, m(lq, rq), m(lt, rq) + m(lp, rt), 0))
     l00, l01, l10, l11 = lp
     if _GCD_MIN_BITS < rq.bit_length() <= _GCD_MAX_BITS:
         g = math.gcd(rq, l00, l01, l10, l11)
@@ -413,10 +414,39 @@ def split_range(rec, a: int, b: int, lo: int, hi: int, with_p: bool = True) -> S
     p = None
     if with_p:
         h00, h01, h10, h11 = rp
-        p = (h00 * l00 + h01 * l10, h00 * l01 + h01 * l11,
-             h10 * l00 + h11 * l10, h10 * l01 + h11 * l11)
-    t = rt * l00 + ru * l10 + rq * lt
-    return _node(SplitNode, (p, lq * rq, t, rt * l01 + ru * l11 + rq * lu))
+        p = (m(h00, l00) + m(h01, l10), m(h00, l01) + m(h01, l11),
+             m(h10, l00) + m(h11, l10), m(h10, l01) + m(h11, l11))
+    t = m(rt, l00) + m(ru, l10) + m(rq, lt)
+    return _node(SplitNode, (p, m(lq, rq), t, m(rt, l01) + m(ru, l11) + m(rq, lu)))
+
+
+def _split_leaf(A, B, D, a: int, b: int, lo: int, hi: int, with_p: bool):
+    """split_range's node for [lo, hi), multiplied out one term at a time
+    and divided by the gcd of all its entries.
+
+    Appending term n to a node is the merge with the one-term node
+    P_n = A(n) (the block (A(n), B(n), D(n), 0)), Q_n = D(n),
+    T_n = (a+bn) D(n), U_n = 0.
+    """
+    q, t, u = 1, 0, 0
+    if not B:
+        p = 1
+        for n in range(lo, hi):
+            d = int_poly_eval(D, n)
+            p, q, t = int_poly_eval(A, n) * p, q * d, (t + (a + b * n) * p) * d
+        g = math.gcd(p, q, t)
+        p = p // g if with_p else None
+        return _node(SplitNode, (p, q // g, t // g, 0))
+    x00, x01, x10, x11 = 1, 0, 0, 1
+    for n in range(lo, hi):
+        an, bn, d = int_poly_eval(A, n), int_poly_eval(B, n), int_poly_eval(D, n)
+        w = a + b * n
+        t, u = (t + w * x00) * d, (u + w * x01) * d
+        x00, x01, x10, x11 = an * x00 + bn * x10, an * x01 + bn * x11, d * x00, d * x01
+        q *= d
+    g = math.gcd(q, t, u, x00, x01, x10, x11)
+    p = (x00 // g, x01 // g, x10 // g, x11 // g) if with_p else None
+    return _node(SplitNode, (p, q // g, t // g, u // g))
 
 
 # ============================================================

@@ -23,6 +23,7 @@ independent of every series in the catalog.
 from __future__ import annotations
 
 import math as _math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction as QQ
@@ -392,7 +393,7 @@ class BigApprox:
     def __mul__(self, other: "BigApprox") -> "BigApprox":
         self._chk(other)
         P = self.prec
-        man = (self.man * other.man) >> P
+        man = mul(self.man, other.man) >> P
         cross = abs(self.man) * other.err + abs(other.man) * self.err
         cross += self.err * other.err
         err = -((-cross) >> P) + 2  # ceil(cross/2^P) + rounding + shift slop
@@ -465,8 +466,8 @@ class BigApprox:
 
 
 # ============================================================
-# multiplication-only kernels: Newton reciprocal, reciprocal square root,
-# square root and decimal output
+# multiplication-only kernels: Toom-3 product, Newton reciprocal, reciprocal
+# square root, square root and decimal output
 # ============================================================
 
 # below _SMALL_BITS exact // and Decimal(int) are cheap, below _STR_MAX_BITS
@@ -474,22 +475,74 @@ class BigApprox:
 _SMALL_BITS = 2000
 _STR_MAX_BITS = 10_000
 
+# mul splits into thirds while both operands have more than _TOOM_BITS bits;
+# below, CPython's Karatsuba product is faster
+_TOOM_BITS = 30_000
+# the splits multiply narrow operands by the bare C product, without mul's call
+_int_mul = operator.mul
+
+
+def _toom_values(x: int, k: int) -> tuple:
+    """x = x2 2^(2k) + x1 2^k + x0 as a polynomial in 2^k, at 0, 1, -1, -2
+    and infinity."""
+    x0, x1, x2 = x & ((1 << k) - 1), (x >> k) & ((1 << k) - 1), x >> (2 * k)
+    s = x0 + x2
+    xm1 = s - x1
+    return x0, s + x1, xm1, ((xm1 + x2) << 1) - x0, x2
+
+
+def mul(x: int, y: int) -> int:
+    """x * y, by Toom-3 while both operands are wide and balanced.
+
+    Each operand is cut into three k-bit pieces and evaluated at 0, 1, -1,
+    -2 and infinity; the five products of the values (squares when x is y)
+    are interpolated by Bodrato's sequence (WAIFI 2007), whose one division
+    by 3 and two by 2 are exact.  A pair where either operand has at most
+    _TOOM_BITS bits, or one at most 2k, is CPython's x * y.
+    """
+    nx, ny = x.bit_length(), y.bit_length()
+    if nx <= _TOOM_BITS or ny <= _TOOM_BITS:
+        return x * y
+    k = (max(nx, ny) + 2) // 3
+    if min(nx, ny) <= 2 * k:
+        return x * y
+    if x < 0 or y < 0:
+        ax = abs(x)
+        r = mul(ax, ax if x is y else abs(y))
+        return -r if (x < 0) != (y < 0) else r
+    vx = _toom_values(x, k)
+    vy = vx if x is y else _toom_values(y, k)
+    r0, r1, rm1, rm2, rinf = [mul(a, b) for a, b in zip(vx, vy)]
+    c3 = (rm2 - r1) // 3
+    c1 = (r1 - rm1) >> 1
+    c2 = rm1 - r0
+    c3 = ((c2 - c3) >> 1) + (rinf << 1)
+    c2 += c1 - rinf
+    c1 -= c3
+    out = (rinf << k) + c3
+    out = (out << k) + c2
+    out = (out << k) + c1
+    return (out << k) + r0
+
 
 def newton_recip(b: int) -> int:
     """r ~ 2^(2n)/b for b > 0 with n = b.bit_length(), by multiplications.
 
     The reciprocal of b's top h ~ n/2 bits, shifted up, is refined by one
     Newton step r += r (2^(2n) - b r)/2^(2n), which squares its relative
-    error.  The result is within a few units of 2^(2n)/b; callers certify
-    it by the exact residual 2^(2n) - b*r, since 2^(2n)/b - r = residual/b.
+    error.  The step's residual keeps only its bits above 2^(h-32), the
+    ones that reach r.  The result is within a few units of 2^(2n)/b;
+    callers certify it by the exact residual 2^(2n) - b*r, since
+    2^(2n)/b - r = residual/b.
     """
     n = b.bit_length()
     if n <= _SMALL_BITS:
         return (1 << (2 * n)) // b
     h = n // 2 + 2
     rh = newton_recip(b >> (n - h))  # ~ 2^(n+h)/b, relative error ~ 2^-h
-    f = (1 << (n + h)) - b * rh
-    return (rh << (n - h)) + ((rh * f) >> (2 * h))
+    c = h - 32  # the cut moves the correction by less than 2^-30 units
+    f = ((1 << (n + h)) - mul(b, rh)) >> c
+    return (rh << (n - h)) + (mul(rh, f) >> (2 * h - c))
 
 
 # bits of the radicand that newton_rsqrt keeps beyond the bits of its result
@@ -516,8 +569,8 @@ def newton_rsqrt(m: int, p: int) -> int:
         return isqrt((1 << (2 * p)) // m)
     h = p - r // 2 + 8  # yh ~ 2^h/sqrt(m) carries r/2 + 8 bits
     yh = newton_rsqrt(m, h)
-    f = ((1 << (2 * h)) - m * yh * yh) >> n
-    return (yh << (p - h)) + ((yh * f) >> (3 * h + 1 - p - n))
+    f = ((1 << (2 * h)) - mul(m, mul(yh, yh))) >> n
+    return (yh << (p - h)) + (mul(yh, f) >> (3 * h + 1 - p - n))
 
 
 def newton_sqrt(x: int) -> int:
@@ -538,9 +591,9 @@ def newton_sqrt(x: int) -> int:
     p = n // 2 + ry
     y = newton_rsqrt(x, p)
     c = n - ry - 32
-    s = ((x >> c) * y) >> (p - c)
+    s = mul(x >> c, y) >> (p - c)
     c = n - k - 32
-    return s + ((y * ((x - s * s) >> c)) >> (p + 1 - c))
+    return s + (mul(y, (x - mul(s, s)) >> c) >> (p + 1 - c))
 
 
 def fixed_div(a: int, b: int, prec: int) -> tuple[int, int]:
@@ -560,10 +613,10 @@ def fixed_div(a: int, b: int, prec: int) -> tuple[int, int]:
     else:
         at, bt = a << -s, b << -s
     r = newton_recip(bt)
-    res = (1 << (2 * k)) - bt * r
+    res = (1 << (2 * k)) - mul(bt, r)
     r_err = -(-abs(res) // bt)  # |2^(2k)/bt - r| <= r_err
     sh = 2 * k - prec
-    man = (at * r) >> sh
+    man = mul(at, r) >> sh
     err = 1 + (-((-at * r_err) >> sh))
     if s > 0:
         err += -(-((1 << prec) + man + err) // bt)
@@ -654,32 +707,33 @@ def _atan_split(k: int, lo: int, hi: int, with_p: bool = True) -> tuple:
     mid = (lo + hi) // 2
     lp, lq, lt = _atan_split(k, lo, mid)
     rp, rq, rt = _atan_split(k, mid, hi, with_p)
+    m = mul if lq.bit_length() > _TOOM_BITS else _int_mul
     if lp.bit_length() <= _ATAN_GCD_MAX_BITS or rq.bit_length() <= _ATAN_GCD_MAX_BITS:
         g = _math.gcd(lp, rq)
         if g > 1:
             lp, rq = lp // g, rq // g
-    return (lp * rp if with_p else None), lq * rq, lt * rq + lp * rt
+    return (m(lp, rp) if with_p else None), m(lq, rq), m(lt, rq) + m(lp, rt)
 
 
 def machin_pi(prec: int) -> tuple[int, int]:
     """(man, err_ulps) for pi = 16*atan(1/5) - 4*atan(1/239) at scale 2^prec.
 
-    Both arctangent series are summed exactly by _atan_split and joined
-    into one fraction, which a single Newton division brings to fixed point.
-    Each series stops after N ~ prec/(2 log2 k) terms; being alternating
-    and decreasing, its tail is below the first omitted term
-    1/((2N+1) k^(2N+1)), which is added to the bound in ulps.
+    Each arctangent series is summed exactly by _atan_split and brought to
+    fixed point by its own Newton division.  Being alternating and
+    decreasing, a series stopped after n terms leaves a tail below the first
+    omitted term w/((2n+1) k^(2n+1)) for weight w.  k^1024 >= 2^lb gives
+    k^e >= 2^(e lb/1024), so n is the least with (2n+1) lb >= 1024 (prec +
+    bits of w): the tail is below one ulp, and one ulp is added per series.
     """
-    fracs = []
-    err = 0
-    for k, weight in ((5, 16), (239, 4)):
-        n = int(prec / (2 * _math.log2(k))) + 2
+    man = err = 0
+    for k, weight, sign in ((5, 16, 1), (239, 4, -1)):
+        lb = (k**1024).bit_length() - 1
+        n = -(-1024 * (prec + weight.bit_length()) // lb) // 2
         _, q, t = _atan_split(k, 0, n, False)
-        err += -(-(weight << prec) // ((2 * n + 1) * k ** (2 * n + 1)))
-        fracs.append((weight * t, k * q))
-    (t5, d5), (t239, d239) = fracs
-    man, div_err = fixed_div(t5 * d239 - t239 * d5, d5 * d239, prec)
-    return man, err + div_err
+        m, div_err = fixed_div(weight * t, k * q, prec)
+        man += sign * m
+        err += div_err + 1
+    return man, err
 
 
 def agm_pi(prec: int) -> int:
@@ -703,7 +757,7 @@ def agm_pi(prec: int) -> int:
         last = 2 * (A - B).bit_length() <= q
         S = (A + B) >> 2
         a = (a + newton_sqrt(B << q)) >> 1
-        A = (a * a) >> q
+        A = mul(a, a) >> q
         B = (A - S) << 1
         D -= (A - B) << k
         if last:

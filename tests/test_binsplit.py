@@ -17,7 +17,8 @@ from rpv.hyper import hyper3F2
 
 # one entry per family: first order, then the three second-order families
 SPLIT_IDS = ("s14-08", "domb-16n3", "start-1/3", "sun-cor2a")
-RANGES = [(0, 1), (0, 2), (0, 7), (7, 16), (0, 16)]
+# ranges up to hyper._LEAF terms are one serial leaf; the longer ones merge
+RANGES = [(0, 1), (0, 2), (0, 7), (7, 16), (0, 16), (0, 17), (3, 40), (0, 100)]
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +69,7 @@ def test_merge_matches_leaf_sums(entries, monkeypatch):
         for eid in SPLIT_IDS:
             spec = entries[eid].spec
             rec = integer_recurrence(spec.fam, spec.z)
-            w = _terms(spec, 17)
+            w = _terms(spec, 101)
             for lo, hi in RANGES:
                 node = split_range(rec, 1, 8, lo, hi)
                 prev = w[lo - 1] if lo else 0
@@ -81,6 +82,27 @@ def test_merge_matches_leaf_sums(entries, monkeypatch):
                 else:
                     assert node.U == 0
                     assert QQ(node.P, node.Q) == w[hi] / w[lo]
+
+
+def _ratios(node):
+    """T/Q, U/Q and each entry of P/Q: the ratios a node fixes."""
+    p = node.P if isinstance(node.P, tuple) else (node.P,)
+    return [QQ(x, node.Q) for x in (node.T, node.U) + p if x is not None]
+
+
+def test_serial_leaves_keep_the_one_term_ratios(entries, monkeypatch):
+    # leaves of up to 16 terms, multiplied out serially and reduced by one
+    # gcd, give the ratios of the one-term leaves and their merges
+    cases = [(lo, hi) for lo in (0, 5, 33) for hi in (lo + 1, lo + 16, lo + 17, lo + 70)]
+    for eid in SPLIT_IDS:
+        rec = integer_recurrence(entries[eid].spec.fam, entries[eid].spec.z)
+        for with_p in (True, False):
+            leaves = [split_range(rec, 1, 8, lo, hi, with_p) for lo, hi in cases]
+            with monkeypatch.context() as mp:
+                mp.setattr(hyper, "_LEAF", 1)
+                ones = [split_range(rec, 1, 8, lo, hi, with_p) for lo, hi in cases]
+            for (lo, hi), leaf, one in zip(cases, leaves, ones):
+                assert _ratios(leaf) == _ratios(one), (eid, lo, hi, with_p)
 
 
 def test_merge_cancels_common_factors(entries):

@@ -1,18 +1,19 @@
-"""Multiplication-only kernels against exact //, math.isqrt and str().
+"""Multiplication-only kernels against exact *, //, math.isqrt and str().
 
-newton_recip and fixed_div (numerics), the reciprocal square root behind
-binsplit's sqrt(m) and the square root behind the AGM, and the
-divide-and-conquer decimal output.
+The Toom-3 product, newton_recip and fixed_div (numerics), the reciprocal
+square root behind binsplit's sqrt(m) and the square root behind the AGM,
+and the divide-and-conquer decimal output.
 """
 
 import contextlib
 import math
+import random
 import sys
 
 import pytest
 
 from rpv.binsplit import _sqrt_fixed
-from rpv.numerics import fixed_div, int_to_decimal_str, newton_recip, newton_sqrt
+from rpv.numerics import _TOOM_BITS, fixed_div, int_to_decimal_str, mul, newton_recip, newton_sqrt
 from rpv.numerics import newton_rsqrt as _rsqrt
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -24,6 +25,46 @@ BITS = st.one_of(st.integers(1, 3000), st.integers(2001, 60_000))
 
 def _int_of_bits(data, bits: int) -> int:
     return data.draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+
+
+# Toom-3 starts where both operands pass _TOOM_BITS and neither is at most
+# two thirds of the other, and recurses on pieces down to _TOOM_BITS
+MUL_BITS = st.one_of(st.integers(0, 200_000), st.integers(_TOOM_BITS - 2, _TOOM_BITS + 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), MUL_BITS, MUL_BITS, st.booleans())
+def test_mul_equals_product(data, x_bits, y_bits, square):
+    def signed(bits):
+        v = _int_of_bits(data, bits) if bits else 0
+        return -v if data.draw(st.booleans()) else v
+
+    x = signed(x_bits)
+    y = x if square else signed(y_bits)
+    assert mul(x, y) == x * y
+
+
+# pairs around the thresholds: equal, one bit past _TOOM_BITS, lengths of
+# 3k+1 and 3k+2 bits, and unbalanced pairs on both sides of 2k for
+# k = 66,667 (the third of 200,000 bits)
+MUL_PAIRS = [
+    (_TOOM_BITS, _TOOM_BITS), (_TOOM_BITS + 1, _TOOM_BITS + 1), (_TOOM_BITS, 200_000),
+    (_TOOM_BITS + 1, 200_000), (90_001, 90_002), (133_334, 200_000), (133_335, 200_000),
+    (200_000, 133_335), (200_000, 1), (0, 200_000),
+]
+
+
+@pytest.mark.parametrize("x_bits, y_bits", MUL_PAIRS)
+def test_mul_at_split_boundaries(x_bits, y_bits):
+    rng = random.Random(x_bits * 7 + y_bits)
+    for x, y in [
+        ((1 << x_bits) - 1, (1 << y_bits) - 1),  # all ones: every carry
+        (rng.getrandbits(x_bits) | (1 << x_bits >> 1), -rng.getrandbits(y_bits)),
+        (-(1 << x_bits >> 1), (1 << y_bits >> 1) + 1),
+    ]:
+        assert mul(x, y) == x * y
+        assert mul(y, x) == y * x
+        assert mul(x, x) == x * x
 
 
 @settings(max_examples=60, deadline=None)
