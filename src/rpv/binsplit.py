@@ -129,17 +129,20 @@ def _decide_digits(spec, scale, node, tail, digits: int, guard: int):
 def _interval_digits(man: int, err: int, prec: int, digits: int):
     """The first `digits` significant digits shared by both ends of
     [man - err, man + err] 2^-prec, or None when the ends differ in one of
-    them or leave [1, 10)."""
+    them or leave [1, 10).  Needs prec >= digits - 1."""
     one = 1 << prec
     if man - err < one or man + err >= 10 * one:
         return None
-    # floor(lo 10^(digits-1)) == floor(hi 10^(digits-1)): same digits at both ends
-    p10 = 10 ** (digits - 1)
-    scaled = mul(man, p10)
-    top = scaled >> prec
-    frac = scaled - (top << prec)
-    spread = err * p10
-    if frac < spread or frac + spread >= one:
+    # floor(lo 10^(digits-1)) == floor(hi 10^(digits-1)): same digits at both
+    # ends.  10^(digits-1) = 5^(digits-1) 2^(digits-1), so scale by the power
+    # of 5 and compare at digits - 1 fewer bits; every inequality is the same
+    shift = prec - (digits - 1)
+    p5 = 5 ** (digits - 1)
+    scaled = mul(man, p5)
+    top = scaled >> shift
+    frac = scaled - (top << shift)
+    spread = err * p5
+    if frac < spread or frac + spread >= 1 << shift:
         return None
     return int_to_decimal_str(top)
 

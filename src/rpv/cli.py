@@ -12,7 +12,6 @@ from .errors import (
     ArgumentMismatch,
     DivergentInput,
     GateRefused,
-    NoConvergenceDetected,
     NonExactConstant,
     ParseError,
     RpvError,
@@ -21,7 +20,7 @@ from .numerics import _show_literal, parse_rational
 from .parallel import parallel_map
 from .special import (
     LIMIT_SPECS,
-    limit_verdict,
+    limit_eval,
     rogers_domb_check,
     starting_formula,
     sun_2_11,
@@ -117,14 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--id", dest="limit_id", required=True)
     p.add_argument("--tolerance", type=float, required=True)
-    p.add_argument(
-        "--ladder",
-        action="store_true",
-        help="also run the heuristic float Richardson ladder, which must agree",
-    )
     p.add_argument("--json", action="store_true")
     p.add_argument(
-        "--jobs", type=_int_at_least(1), default=_default_jobs(), help="ladder processes"
+        "--jobs",
+        type=_int_at_least(1),
+        default=_default_jobs(),
+        help="accepted for compatibility; has no effect (the verdict is exact)",
     )
 
     p = sub.add_parser("sun", help="run one of the conjecture checks")
@@ -308,24 +305,16 @@ def _run_limit(args) -> int:
     if args.limit_id not in LIMIT_SPECS:
         known = ", ".join(sorted(LIMIT_SPECS))
         raise ParseError(f"no limit spec with id {args.limit_id!r} (known: {known})")
-    rep = limit_verdict(
-        LIMIT_SPECS[args.limit_id],
-        args.tolerance,
-        ladder=args.ladder,
-        jobs=args.jobs,
-    )
+    rep = limit_eval(LIMIT_SPECS[args.limit_id], args.tolerance)
     if args.json:
         payload = rep.to_json()
         payload["id"] = args.limit_id
         _emit(payload)
     else:
         flag = "pass" if rep.passed else "FAIL"
-        ladder = (
-            f"  err<={rep.error_estimate:.3e}  k={rep.k_used}" if args.ladder else ""
-        )
         print(
             f"{args.limit_id}: {flag}  value={rep.value!r} target={rep.target_value!r}"
-            f"  pi*limit={rep.exact!r}{ladder} (tolerance {rep.tolerance:g})"
+            f"  pi*limit={rep.exact!r} (tolerance {rep.tolerance:g})"
         )
         print(f"  {rep.detail}")
     return 0 if rep.passed else 1
@@ -385,16 +374,14 @@ def main(argv=None) -> int:
     if name == "rules":
         name = f"rules {args.rules_command}"
     try:
-        return _DISPATCH[name](args)
+        code = _DISPATCH[name](args)
+        # meet a reader that closed early (`| head`) here, not at exit
+        sys.stdout.flush()
+        return code
     except (ParseError, ArgumentMismatch, ValueError, FileNotFoundError) as exc:
         print(f"rpv: {exc}", file=sys.stderr)
         return 2
-    except (
-        GateRefused,
-        DivergentInput,
-        NonExactConstant,
-        NoConvergenceDetected,
-    ) as exc:
+    except (GateRefused, DivergentInput, NonExactConstant) as exc:
         print(f"rpv: refused: {exc}", file=sys.stderr)
         return 1
     except RpvError as exc:
@@ -402,6 +389,13 @@ def main(argv=None) -> int:
         # failures, not usage errors
         print(f"rpv: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the output cannot be delivered, like a `digits --out` that cannot be
+        # written; stdout goes to devnull so the final flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"rpv: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -69,7 +69,3 @@ class GateRefused(RpvError):
 
 class InvariantViolation(RpvError):
     """Data file violates a structural invariant (duplicate id, bad status...)."""
-
-
-class NoConvergenceDetected(RpvError):
-    """Limit extrapolation did not stabilize within the allowed depth."""

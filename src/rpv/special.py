@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction as QQ
 from math import comb
 
-from .errors import GateRefused, InvariantViolation, NoConvergenceDetected
+from .errors import GateRefused, InvariantViolation
 from .fps import Series, fps_mul, fps_pow_rational
 from .hyper import (
     CheckReport,
@@ -15,7 +15,6 @@ from .hyper import (
     coeff,
     domb,
     eval_numeric,
-    family_envelope,
     hyper3F2,
     hyper_series,
     square2F1,
@@ -29,7 +28,6 @@ from .numerics import (
     rad_to_bigapprox,
     sin_pi,
 )
-from .parallel import parallel_map
 from .poly import RatFun, _deflate, poly, poly_eval, poly_sub
 from .transforms import Prefactor, get_rule, verify_rule_formal
 from .translate import SeriesSpec, solve_for_x, theta_transport, translate
@@ -145,7 +143,6 @@ class LimitSpec:
     x_star: object  # QQ
     direction: str  # "left" | "right"
     target: RadConst  # the limit is target / pi
-    delta0: object = QQ(1, 16)  # first ladder offset
 
     def __post_init__(self):
         if self.family.kind != "hyper3F2":
@@ -157,21 +154,6 @@ class LimitSpec:
         if self.weight(QQ(self.x_star)) != 0:
             raise InvariantViolation("weight must vanish at the approach point")
         limit_exact(self)  # the closed form's hypotheses, checked exactly
-        radius, _ = family_envelope(self.family)
-        for k in (0, 3, 6):
-            if abs(self.argument(self.x_at(k))) * radius >= 1:
-                raise InvariantViolation(
-                    f"ladder point k = {k} leaves the convergence envelope"
-                )
-
-    def x_at(self, k: int):
-        step = QQ(self.delta0) / 2**k
-        return QQ(self.x_star) - step if self.direction == "left" else (
-            QQ(self.x_star) + step
-        )
-
-    def target_float(self) -> float:
-        return _over_pi(self.target)
 
 
 def _over_pi(c: RadConst) -> float:
@@ -306,7 +288,6 @@ LIMIT_SPECS = {
         QQ(-1),
         "right",
         RadConst(QQ(1), 2),
-        delta0=QQ(1, 4),
     ),
     "limit-8px": LimitSpec(
         hyper3F2(QQ(1, 6)),
@@ -315,7 +296,6 @@ LIMIT_SPECS = {
         QQ(-8),
         "right",
         RadConst(QQ(4), 3),
-        delta0=QQ(2),
     ),
 }
 
@@ -326,161 +306,28 @@ class LimitReport(Report):
     target_value: float = field(metadata={"key": "target"})
     tolerance: float
     passed: bool
-    k_used: int
-    error_estimate: float
-    nodes: tuple = field(metadata={"key": None})
-    extrapolants: tuple = field(metadata={"key": None})
     detail: str
-    exact: RadConst | None = None  # pi * limit, when derived by limit_exact
-    method: str = "richardson"
+    exact: RadConst  # pi * limit, derived by limit_exact
+    # kept as --json keys; an exact verdict has no depth and no error estimate
+    k_used: int = 0
+    error_estimate: float = 0.0
+    method: str = "closed-form"
 
 
-def _node_sum(p: int, q: int, arg: float, cutoff: float, max_terms: int) -> float:
-    """sum_{n>=1} n t_n arg^n in float64 through the term-ratio recurrence."""
-    qf = float(q)
-    c0 = arg / (2.0 * qf * qf)
-    u = 1.0
-    acc = 0.0
-    n = 0.0
-    for _ in range(max_terms):
-        u *= c0 * (2.0 * n + 1.0) * (qf * n + p) * (qf * n + qf - p)
-        n += 1.0
-        u /= n * n * n
-        term = n * u
-        acc += term
-        if term < cutoff * acc:
-            return acc
-    raise NoConvergenceDetected(
-        f"ladder node at argument {arg} did not settle within {max_terms} terms"
-    )
-
-
-def _node_cost(one_minus_arg: float, digits: int) -> float:
-    return (digits + 6) * math.log(10.0) / max(one_minus_arg, 1e-300)
-
-
-def limit_eval(
-    spec: LimitSpec,
-    tolerance: float,
-    digits: int = 10,
-    k_min: int = 5,
-    k_max: int = 40,
-    max_node_terms: int = 6_000_000,
-    jobs: int = 1,
-) -> LimitReport:
-    """Evaluate the limit along x_k = x_star -/+ delta0 2^-k with Richardson
-    extrapolation of order 4; NoConvergenceDetected if the extrapolants are
-    not Cauchy within tolerance by k_max (or the ladder becomes too steep)."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    p, q = spec.family.s.numerator, spec.family.s.denominator
-    cutoff = 10.0 ** -(digits + 5)
-    target = spec.target_float()
-
-    def node_args(k: int):
-        x = spec.x_at(k)
-        a = QQ(spec.argument(x))
-        if _node_cost(float(1 - abs(a)), digits) > max_node_terms:
-            return None
-        return (p, q, float(a), cutoff, max_node_terms), float(spec.weight(x))
-
-    nodes: list[float] = []
-    rows: list[list[float]] = []
-    extrapolants: list[float] = []
-
-    def push(value: float) -> float:
-        k = len(rows)
-        row = [value]
-        for j in range(1, min(k, 4) + 1):
-            w = float(2**j)
-            row.append((w * row[j - 1] - rows[k - 1][j - 1]) / (w - 1.0))
-        rows.append(row)
-        nodes.append(value)
-        extrapolants.append(row[-1])
-        return row[-1]
-
-    # the first batch of ladder points is known up front; optionally fan out
-    batch = []
-    for k in range(min(k_min, k_max) + 1):
-        got = node_args(k)
-        if got is None:
-            break
-        batch.append(got)
-    sums = parallel_map(_node_sum, [args for args, _ in batch], jobs)
-    for (_, w), s in zip(batch, sums):
-        push(w * s)
-
-    k = len(rows) - 1
-    while True:
-        if k >= k_min and k >= 5:
-            # after order-4 elimination the remainder is O(h^5); halving h
-            # leaves delta ~ (2^4 - 1) x the current error, conservatively
-            delta = abs(extrapolants[k] - extrapolants[k - 1])
-            if delta / 15 <= max(tolerance / 2, 4e-13):
-                value = extrapolants[k]
-                err = delta / 15 + 1e-12
-                return LimitReport(
-                    value=value,
-                    target_value=target,
-                    tolerance=tolerance,
-                    passed=abs(value - target) <= tolerance,
-                    k_used=k,
-                    error_estimate=err,
-                    nodes=tuple(nodes),
-                    extrapolants=tuple(extrapolants),
-                    detail=(
-                        f"Richardson order 4 settled at k = {k} "
-                        f"(ladder delta0 = {format_rational(spec.delta0)})"
-                    ),
-                )
-        if k + 1 > k_max:
-            raise NoConvergenceDetected(
-                f"extrapolant not Cauchy within {tolerance} by k = {k_max}"
-            )
-        got = node_args(k + 1)
-        if got is None:
-            raise NoConvergenceDetected(
-                f"ladder node k = {k + 1} needs more than {max_node_terms} "
-                f"terms and the extrapolant has not settled within {tolerance}"
-            )
-        args, w = got
-        push(w * _node_sum(*args))
-        k += 1
-
-
-def limit_verdict(
-    spec: LimitSpec, tolerance: float, ladder: bool = False, jobs: int = 1
-) -> LimitReport:
+def limit_eval(spec: LimitSpec, tolerance: float) -> LimitReport:
     """Decide a limit spec by limit_exact: it passes when the derived constant
-    is spec.target.  With `ladder`, value, k, error estimate and detail come
-    from the heuristic Richardson ladder (limit_eval), which must pass too."""
+    is spec.target and its float lies within `tolerance` of the target's."""
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     proof = limit_exact(spec)
-    target = spec.target_float()
-    value = _over_pi(proof.value)
-    exact_ok = proof.value == spec.target and abs(value - target) <= tolerance
-    if ladder:
-        rep = limit_eval(spec, tolerance, jobs=jobs)
-        return replace(
-            rep,
-            passed=exact_ok and rep.passed,
-            detail=f"heuristic: {rep.detail}; exact: {proof.detail()}",
-            exact=proof.value,
-            method="closed-form+ladder",
-        )
+    value, target = _over_pi(proof.value), _over_pi(spec.target)
     return LimitReport(
         value=value,
         target_value=target,
         tolerance=tolerance,
-        passed=exact_ok,
-        k_used=0,
-        error_estimate=0.0,
-        nodes=(),
-        extrapolants=(),
+        passed=proof.value == spec.target and abs(value - target) <= tolerance,
         detail=proof.detail(),
         exact=proof.value,
-        method="closed-form",
     )
 
 

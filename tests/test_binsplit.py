@@ -281,6 +281,34 @@ def test_oracle_digits_never_emits_undecided_digits(monkeypatch):
     assert calls == [30 + extra for extra in binsplit._ORACLE_EXTRA]
 
 
+def _digits_by_power_of_ten(man, err, prec, digits):
+    """_interval_digits' decision made at full precision with 10^(digits-1)."""
+    one = 1 << prec
+    if man - err < one or man + err >= 10 * one:
+        return None
+    p10 = 10 ** (digits - 1)
+    top, frac = divmod(man * p10, one)
+    if frac < err * p10 or frac + err * p10 >= one:
+        return None
+    return str(top)
+
+
+def test_interval_digits_decide_as_with_power_of_ten():
+    rng = random.Random(20261019)
+    decided = 0
+    for _ in range(4000):
+        digits = rng.randint(1, 12)
+        # small precisions put interval ends on digit boundaries often
+        prec = digits - 1 + rng.choice((0, 1, 2, 5, 40))
+        one = 1 << prec
+        man = rng.randrange(one, 10 * one)
+        err = rng.choice((0, 1, rng.randrange(1 << max(prec - 2, 0) + 1)))
+        got = binsplit._interval_digits(man, err, prec, digits)
+        assert got == _digits_by_power_of_ten(man, err, prec, digits), (man, err, prec, digits)
+        decided += got is not None
+    assert 0 < decided < 4000
+
+
 def test_rejects_divergent_and_imaginary(entries):
     with pytest.raises(DivergentInput):
         pi_digits(entries["s12-05"], 10)

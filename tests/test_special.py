@@ -1,4 +1,4 @@
-"""Tests for the starting formula, limit ladder, and Sun conjecture checks."""
+"""Tests for the starting formula, the exact limit verdict, and Sun conjecture checks."""
 
 import math
 import random
@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from rpv.errors import InvariantViolation, NoConvergenceDetected
+from rpv.errors import InvariantViolation
 from rpv import special
 from rpv.hyper import gauss_half_check, hyper3F2, hyper_series, square2F1
 from rpv.numerics import RadConst
@@ -19,7 +19,6 @@ from rpv.special import (
     corollary_binomial_check,
     limit_eval,
     limit_exact,
-    limit_verdict,
     rogers_domb_check,
     starting_formula,
     sun_2_11,
@@ -107,51 +106,9 @@ def test_limit_exact_decides_every_spec():
         assert proof.value == RadConst(r, m), lid
         assert proof.L == LIMIT_L[lid], lid
         assert (proof.weight_order, proof.gap_order, proof.sign) == (1, 2, 1), lid
-        rep = limit_verdict(LIMIT_SPECS[lid], 1e-8)
+        rep = limit_eval(LIMIT_SPECS[lid], 1e-8)
         assert rep.passed and rep.k_used == 0 and rep.error_estimate == 0.0, lid
         assert rep.exact == RadConst(r, m) and rep.method == "closed-form", lid
-
-
-def _over_pi(c):
-    return float(c.r) * math.sqrt(c.m) / math.pi
-
-
-def test_limit_ladder_all_specs():
-    for lid, spec in LIMIT_SPECS.items():
-        rep = limit_eval(spec, 1e-8)
-        assert rep.passed, (lid, rep.detail)
-        assert abs(rep.value - _over_pi(limit_exact(spec).value)) <= 1e-8, lid
-        assert abs(rep.value - rep.target_value) <= 1e-8, lid
-        assert rep.error_estimate <= 1e-8, lid
-        assert rep.k_used >= 5
-
-
-def test_limit_deeper_ladder_stays_within_tolerance():
-    spec = LIMIT_SPECS["limit-8x1"]
-    shallow = limit_eval(spec, 1e-8)
-    deep = limit_eval(spec, 1e-8, k_min=6)
-    assert deep.k_used > shallow.k_used
-    assert abs(deep.value - deep.target_value) <= 1e-8
-    assert deep.nodes[: len(shallow.nodes)] == shallow.nodes
-
-
-def test_limit_parallel_matches_serial():
-    spec = LIMIT_SPECS["limit-start-1/3"]
-    serial = limit_eval(spec, 1e-8)
-    parallel = limit_eval(spec, 1e-8, jobs=3)
-    assert parallel.value == serial.value
-    assert parallel.nodes == serial.nodes
-    assert parallel.extrapolants == serial.extrapolants
-
-
-def test_limit_shallow_ladder_refuses():
-    with pytest.raises(NoConvergenceDetected):
-        limit_eval(LIMIT_SPECS["limit-start-1/2"], 1e-8, k_max=4)
-
-
-def test_limit_node_budget_refuses():
-    with pytest.raises(NoConvergenceDetected):
-        limit_eval(LIMIT_SPECS["limit-start-1/2"], 1e-8, max_node_terms=100_000)
 
 
 def test_limit_spec_rejects_bad_input():
@@ -191,7 +148,7 @@ def test_limit_spec_rejects_failed_closed_form_hypotheses():
 
 def test_limit_wrong_target_fails():
     spec = replace(LIMIT_SPECS["limit-8x1"], target=RadConst(QQ(1, 2), 2))
-    rep = limit_verdict(spec, 1e-8)
+    rep = limit_eval(spec, 1e-8)
     assert not rep.passed
     assert rep.exact == RadConst(QQ(1, 2), 3)
 
@@ -300,7 +257,7 @@ def test_report_json_keys():
     start = starting_formula(QQ(1, 2)).to_json()
     assert start["pass"] and start["exactTarget"]
     limit = limit_eval(LIMIT_SPECS["limit-start-1/6"], 1e-6).to_json()
-    assert limit["pass"] and limit["kUsed"] >= 5
+    assert limit["pass"] and limit["kUsed"] == 0
     assert limit["errorEstimate"] <= limit["tolerance"]
 
 
@@ -312,10 +269,9 @@ def test_report_json_key_sets():
     assert set(start) == {"s", "exactTarget", "pass", "digitsAgreed", "computed",
                           "target", "detail"}
     assert start["s"] == "1/3"
-    for ladder in (False, True):
-        blob = limit_verdict(limit, 1e-6, ladder=ladder).to_json()
-        assert set(blob) == limit_keys, ladder
-        assert blob["exact"] == "1" and isinstance(blob["target"], float)
+    blob = limit_eval(limit, 1e-6).to_json()
+    assert set(blob) == limit_keys
+    assert blob["exact"] == "1" and isinstance(blob["target"], float)
     assert set(sun_S2_identity(5).to_json()) == {
         "pass", "checked", "firstMismatch", "printedDefConsistent",
         "printedFirstMismatch", "detail"}
