@@ -3,7 +3,7 @@
 Layers, bottom up:
 
 * numerics  — exact rationals, quadratic radical constants, error-tracked
-              big floats, and the AGM/Machin pi oracle;
+              big floats, and the Machin pi oracle;
 * fps       — truncated formal power series over exact rationals;
 * hyper     — hypergeometric coefficient families and certified summation;
 * transforms— the transformation-rule catalog with formal and numeric checks;

@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", dest="entry_id", required=True)
     p.add_argument("--digits", type=_int_at_least(1), required=True)
     p.add_argument("--out", help="write the digit text to this file")
-    p.add_argument("--check", action="store_true", help="compare against the AGM oracle")
+    p.add_argument("--check", action="store_true", help="compare against the Machin pi oracle")
 
     p = sub.add_parser(
         "limit", help="decide a boundary limit exactly by its Abelian closed form"

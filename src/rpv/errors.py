@@ -68,4 +68,6 @@ class GateRefused(RpvError):
 
 
 class InvariantViolation(RpvError):
-    """Data file violates a structural invariant (duplicate id, bad status...)."""
+    """A structural invariant fails: in a data file (duplicate id, bad
+    status...), in a limit's hypotheses, or in a pi oracle that cannot
+    certify its bound."""

@@ -12,12 +12,11 @@ Three value kinds cover everything the engine needs:
   error bound in ulps.  All bounds are propagated outward (conservative), so
   "agrees to d digits" claims are sound, not heuristic.
 
-The pi oracle is Schönhage's variant of the Gauss–Legendre AGM in integer
-fixed point, checked against Machin's formula summed by a cancelled binary
-split; both use multiplications only.  Its reported error bound does not
-trust AGM convergence theory: it is |AGM − Machin| plus the rigorous
-truncation/rounding error of the Machin evaluation, making the oracle
-independent of every series in the catalog.
+The pi oracle is Machin's formula, its two arctangent series summed by a
+cancelled binary split and brought to fixed point by Newton division, so it
+uses multiplications only.  Its error bound is the rigorous truncation and
+rounding error of that evaluation, making the oracle independent of every
+series in the catalog.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from fractions import Fraction as QQ
 from functools import lru_cache
 from math import isqrt
 
-from .errors import IncompatibleRadicals, ParseError
+from .errors import IncompatibleRadicals, InvariantViolation, ParseError
 
 # ============================================================
 # rational parsing / formatting
@@ -423,17 +422,6 @@ class BigApprox:
     def mul_rational(self, q) -> "BigApprox":
         return self.mul_int(q.numerator).div_int(q.denominator)
 
-    def sqrt(self) -> "BigApprox":
-        P = self.prec
-        if self.man < 0:
-            raise ValueError("BigApprox sqrt of negative value")
-        man = isqrt(self.man << P)
-        if man > self.err:
-            prop = -(-(self.err << P) // (2 * man)) if man else 0
-        else:
-            prop = isqrt(self.err << P) + 1
-        return BigApprox(man, P, prop + 2)
-
     # --- comparisons ------------------------------------------------------
     def agrees_to(self, other: "BigApprox", digits: int) -> bool:
         """Provably |self - other| < 10^-digits (error bounds included)."""
@@ -467,7 +455,7 @@ class BigApprox:
 
 # ============================================================
 # multiplication-only kernels: Toom-3 product, Newton reciprocal, reciprocal
-# square root, square root and decimal output
+# square root and decimal output
 # ============================================================
 
 # below _SMALL_BITS exact // and Decimal(int) are cheap, below _STR_MAX_BITS
@@ -573,29 +561,6 @@ def newton_rsqrt(m: int, p: int) -> int:
     return (yh << (p - h)) + (mul(yh, f) >> (3 * h + 1 - p - n))
 
 
-def newton_sqrt(x: int) -> int:
-    """s ~ sqrt(x) for x >= 0, within a few units, by multiplications.
-
-    Below _SMALL_BITS this is isqrt(x).  Above, y ~ 1/sqrt(x) comes from
-    newton_rsqrt at a quarter of x's bits, s0 = x y carries as many, and
-    the coupled step s = s0 + y (x - s0^2)/2 doubles them (Karp & Markstein,
-    ACM TOMS 1997): with s0 and y off by relative e and d, s is off by about
-    sqrt(x) (e^2/2 + e d).  The operands of x y and of the correction are
-    cut to the bits that reach the result.
-    """
-    n = x.bit_length()
-    if n <= _SMALL_BITS:
-        return isqrt(x)
-    k = (n + 1) // 2  # s has k bits
-    ry = k // 2 + 16  # bits of y and of s0
-    p = n // 2 + ry
-    y = newton_rsqrt(x, p)
-    c = n - ry - 32
-    s = mul(x >> c, y) >> (p - c)
-    c = n - k - 32
-    return s + (mul(y, (x - mul(s, s)) >> c) >> (p + 1 - c))
-
-
 def fixed_div(a: int, b: int, prec: int) -> tuple[int, int]:
     """(man, err) with |a * 2^prec / b - man| <= err, for a >= 0 and b > 0.
 
@@ -675,7 +640,7 @@ def rad_to_bigapprox(c: RadConst, prec: int) -> BigApprox:
 
 
 # ============================================================
-# pi oracle: AGM cross-checked against Machin
+# pi oracle: Machin's certified interval
 # ============================================================
 
 # the arctangent split sums leaves of up to _ATAN_LEAF terms serially, and a
@@ -736,56 +701,26 @@ def machin_pi(prec: int) -> tuple[int, int]:
     return man, err
 
 
+# unused, kept as a name: the benchmark's tracer wraps numerics.agm_pi
 def agm_pi(prec: int) -> int:
-    """Gauss–Legendre mantissa for pi at scale 2^prec (no certified bound).
-
-    Schönhage's variant tracks A = a^2 and B = b^2: each step takes
-    b = sqrt(B), a = (a + b)/2, A = a^2, B = 2 (A - (A_prev + B_prev)/4)
-    and D -= 2^k (A - B), from a = A = 1, B = 1/2, D = 1/4, and pi ~ B/D
-    (Schönhage, Grotefeld & Vetter, Fast Algorithms, 1994).  A step's
-    A - B is about the square of the previous one's, so a step that starts
-    with A - B below 2^(-q/2) leaves it below 2^-q and is the last.  The
-    weights 2^k amplify rounding, so the steps run at
-    q = prec + prec.bit_length() + 8 bits; the square roots come from
-    newton_sqrt and the quotient from fixed_div.
-    """
-    q = prec + prec.bit_length() + 8
-    one = 1 << q
-    a, A, B, D = one, one, one >> 1, one >> 2
-    k = 0
-    while True:
-        last = 2 * (A - B).bit_length() <= q
-        S = (A + B) >> 2
-        a = (a + newton_sqrt(B << q)) >> 1
-        A = mul(a, a) >> q
-        B = (A - S) << 1
-        D -= (A - B) << k
-        if last:
-            return fixed_div(B, D, prec)[0]
-        k += 1
+    raise NotImplementedError("the pi oracle is Machin's interval alone")
 
 
 @lru_cache(maxsize=None)
 def pi_oracle(digits: int) -> BigApprox:
     """pi with a certified error bound < 10^-digits.
 
-    The center is the AGM value; the bound is |AGM - Machin| plus the
-    rigorous Machin error, so correctness never leans on AGM theory.
+    Machin's interval at 32 guard bits, rescaled to prec_for_digits(digits):
+    its few ulps of error vanish in the cut, which adds 2.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    guard_bits = 32
-    for attempt in range(4):
-        P = prec_for_digits(digits) + guard_bits * (attempt + 1)
-        agm = agm_pi(P)
-        mac, mac_err = machin_pi(P)
-        err = abs(agm - mac) + mac_err + 2
-        target = prec_for_digits(digits)
-        shift = P - target
-        out = BigApprox(agm >> shift, target, (err >> shift) + 2)
-        if out.err_bound_lt_pow10(digits):
-            return out
-    raise ArithmeticError(f"pi oracle failed to certify {digits} digits")
+    P = prec_for_digits(digits)
+    man, err = machin_pi(P + 32)
+    out = BigApprox(man, P + 32, err).rescale(P)
+    if not out.err_bound_lt_pow10(digits):
+        raise InvariantViolation(f"pi oracle failed to certify {digits} digits")
+    return out
 
 
 # ============================================================

@@ -345,3 +345,17 @@ def test_pure_backend_long_run():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+def test_oracle_matches_recorded_reference_digits():
+    # perfbench/pi_digits.txt was recorded where the oracle and binary
+    # splitting agreed, and expected.json pins it by its digest
+    import hashlib
+    import json
+    from pathlib import Path
+
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    ref = (perfbench / "pi_digits.txt").read_text().strip()
+    doc = json.loads((perfbench / "expected.json").read_text())
+    assert hashlib.sha256(ref.encode()).hexdigest() == doc["pi_digits_sha256"]
+    assert oracle_digits(20000) == ref[:20000]

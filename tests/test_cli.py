@@ -13,6 +13,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
+import rpv.numerics
 import rpv.special
 from rpv.binsplit import digits_file_text, oracle_digits
 from rpv.catalog import DATA_DIR
@@ -137,6 +138,18 @@ def test_digits_unwritable_out_exits_2(tmp_path):
     assert code == 2
     assert str(tmp_path) in err
     assert "internal error" not in err
+
+
+def test_digits_check_uncertified_oracle_exits_1(monkeypatch):
+    # a Machin interval too wide to certify is a refusal, not an internal error
+    monkeypatch.setattr(rpv.numerics, "machin_pi", lambda prec: (0, 1 << prec))
+    rpv.numerics.pi_oracle.cache_clear()
+    try:
+        code, _, err = run_cli(["digits", "--id", "s16-11", "--digits", "50", "--check"])
+    finally:
+        rpv.numerics.pi_oracle.cache_clear()
+    assert code == 1
+    assert "failed to certify" in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("digits", ["50", "500"])

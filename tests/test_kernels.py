@@ -1,8 +1,8 @@
 """Multiplication-only kernels against exact *, //, math.isqrt and str().
 
 The Toom-3 product, newton_recip and fixed_div (numerics), the reciprocal
-square root behind binsplit's sqrt(m) and the square root behind the AGM,
-and the divide-and-conquer decimal output.
+square root behind binsplit's sqrt(m), and the divide-and-conquer decimal
+output.
 """
 
 import contextlib
@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from rpv.binsplit import _sqrt_fixed
-from rpv.numerics import _TOOM_BITS, fixed_div, int_to_decimal_str, mul, newton_recip, newton_sqrt
+from rpv.numerics import _TOOM_BITS, fixed_div, int_to_decimal_str, mul, newton_recip
 from rpv.numerics import newton_rsqrt as _rsqrt
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -97,21 +97,6 @@ def test_rsqrt_and_sqrt_fixed_within_bounds(m, prec):
     fl = math.isqrt(m << (2 * prec))
     exact = fl * fl == m << (2 * prec)
     assert v.man - v.err <= fl and fl + (0 if exact else 1) <= v.man + v.err
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data(), BITS)
-def test_newton_sqrt_within_few_units(data, bits):
-    x = _int_of_bits(data, bits)
-    assert abs(newton_sqrt(x) - math.isqrt(x)) <= 2
-
-
-@pytest.mark.parametrize("bits", [1999, 2000, 2001, 2002, 4001, 60_000])
-def test_newton_sqrt_of_squares_and_neighbours(bits):
-    # the AGM's radicands are a fixed-point value shifted up: x = B 2^q
-    s = (1 << (bits // 2)) - 3
-    for x in (s * s - 1, s * s, s * s + 1, s * s + 2 * s, (s * s) << 7):
-        assert abs(newton_sqrt(x) - math.isqrt(x)) <= 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,7 +19,6 @@ from rpv.errors import IncompatibleRadicals, ParseError
 from rpv.numerics import (
     BigApprox,
     RadConst,
-    agm_pi,
     format_rational,
     machin_pi,
     parse_radconst,
@@ -184,13 +183,6 @@ def test_bigapprox_to_decimal_signed_truncates_magnitude():
     assert BigApprox.from_int(0, P).to_decimal(2) == "0.00"
 
 
-def test_bigapprox_sqrt():
-    P = 160
-    two = BigApprox.from_int(2, P)
-    r = two.sqrt()
-    assert (r * r).agrees_to(two, 40)
-
-
 def test_rad_embedding_commutes_with_algebra():
     P = prec_for_digits(30)
     rng = random.Random(11)
@@ -221,7 +213,7 @@ def test_pi_oracle_matches_frozen_digits():
 def test_agm_machin_cross_agreement(digits):
     P = prec_for_digits(digits)
     mac, err = machin_pi(P)
-    agm = agm_pi(P)
+    agm = _brent_salamin_pi(P)
     assert abs(mac - agm) + err < (1 << P) // 10**digits
 
 
@@ -253,7 +245,7 @@ def _old_pi_oracle(digits: int) -> BigApprox:
     """pi_oracle's construction over the old Machin summation."""
     for attempt in range(4):
         P = prec_for_digits(digits) + 32 * (attempt + 1)
-        agm = agm_pi(P)
+        agm = _brent_salamin_pi(P)
         mac, mac_err = _old_machin_pi(P)
         err = abs(agm - mac) + mac_err + 2
         target = prec_for_digits(digits)
@@ -279,7 +271,8 @@ def test_pi_oracle_bit_identical_to_old_construction(digits):
 
 
 def _brent_salamin_pi(prec: int) -> int:
-    """The agm_pi the oracle used before Schönhage's variant."""
+    """The AGM the oracle used before Schönhage's variant, now the tests'
+    independent pi."""
     a = 1 << prec
     b = math.isqrt(1 << (2 * prec - 1))
     t = 1 << (prec - 2)
@@ -326,7 +319,7 @@ def test_atan_split_equals_exact_partial_sums(monkeypatch, k, gcd_max_bits):
 
 
 def test_pi_oracle_takes_no_large_isqrt(monkeypatch):
-    # every square root above 4000 bits comes from the Newton kernels
+    # Machin's interval takes no square root at all
     small = []
 
     def guarded(x):
@@ -337,7 +330,7 @@ def test_pi_oracle_takes_no_large_isqrt(monkeypatch):
     monkeypatch.setattr(numerics, "isqrt", guarded)
     pi = pi_oracle.__wrapped__(20000)
     assert pi == pi_oracle(20000) and pi.err_bound_lt_pow10(20000)
-    assert small  # the kernels' base cases went through the guard
+    assert not small
 
 
 def test_oracle_error_reaches_json_unchanged(monkeypatch):
