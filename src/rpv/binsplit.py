@@ -1,9 +1,9 @@
 """Pi digits from a catalog entry, by binary splitting and a certified tail.
 
 pi_digits sums the first N terms of any convergent entry, of any family, as
-one exact rational T/Q from hyper.split_range, the engine's one binary split
-of the family recurrence (first- and second-order alike, with the common
-factors of each merge cancelled and the right spine's P products skipped).
+one exact rational T/Q from numerics.split_range, the engine's one binary
+split (first- and second-order recurrences alike, with the common factors of
+each merge cancelled and the right spine's P products skipped).
 N comes from the family envelope (terms_needed), the omitted tail from
 hyper.tail_bound, and the digits from a certified interval around
 pi = c sqrt(m) Q/T; an interval that does not decide every digit retries
@@ -18,8 +18,8 @@ from fractions import Fraction as QQ
 from math import isqrt  # noqa: F401
 
 from .errors import DivergentInput, InvariantViolation, NonExactConstant
-from .hyper import converges, family_envelope, integer_recurrence, split_range, tail_bound
-from .numerics import BigApprox, fixed_div, int_to_decimal_str, mul, newton_rsqrt, pi_oracle
+from .hyper import converges, family_envelope, integer_recurrence, tail_bound
+from .numerics import BigApprox, fixed_div, int_to_decimal_str, mul, newton_rsqrt, pi_oracle, split_range
 
 
 def terms_needed(fam, z, digits: int) -> int:

@@ -64,6 +64,9 @@ def _entry_from_json(rec: dict, certs: dict) -> CatalogEntry:
     if not isinstance(rec, dict):
         raise ParseError(f"catalog entry {rec!r:.40} is not a JSON object")
     try:
+        for key in ("c_m", "c_t", "paper_line"):
+            if type(rec[key]) is not int:  # refuses bools, 2.5 and 1e400
+                raise ParseError(f"field {key!r} must be a JSON integer")
         fam = (
             domb()
             if rec["family"] == "domb"
@@ -76,8 +79,8 @@ def _entry_from_json(rec: dict, certs: dict) -> CatalogEntry:
             parse_rational(rec["b"]),
             RadConst(
                 parse_rational(rec["c_r"]),
-                capped_radicand(int(rec["c_m"])),
-                int(rec["c_t"]),
+                capped_radicand(rec["c_m"]),
+                rec["c_t"],
             ),
         )
         wrappers = certs.get(rec["id"], [])
@@ -91,7 +94,7 @@ def _entry_from_json(rec: dict, certs: dict) -> CatalogEntry:
             spec=spec,
             status=rec["status"],
             tags=tuple(rec["tags"]),
-            paper_line=int(rec["paper_line"]),
+            paper_line=rec["paper_line"],
             note=rec.get("note", ""),
             discrepancy_note=rec.get("discrepancy_note", ""),
             certificates=tuple(wrappers),

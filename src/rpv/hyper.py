@@ -28,23 +28,19 @@ annihilates the generating function, and a WZ certificate for domb).
 
 Numeric summation (eval_numeric) adds up the first N terms exactly and
 bounds the rest.  The same recurrence, with its denominators and z = u/v
-cleared (integer_recurrence), drives split_range, the engine's one integer
-binary split (Haible & Papanikolaou, ANTS 1998) of the step on
-(w_n, w_{n-1}, S_n), w_n = t_n z^n: the partial sum comes out as one exact
-rational T/Q, without a Fraction per term.  It serves both sum_terms and the
-digit runs of binsplit.pi_digits.  A first-order family (hyper3F2) carries a
-scalar P, the others a 2x2 block.  Ranges of up to _LEAF terms are
-multiplied out serially and divided by the gcd of their entries; each merge
-above them divides the gcd of the left P
-and the right Q out of both while the smaller has at most _GCD_MAX_BITS
-bits (Cheng, Hanrot, Thome, Zima & Zimmermann, ISSAC 2007), and the P
-products of the right spine, which no merge reads, are skipped.  N is the
-first power of two from 16 whose tail bound is below 10^-(digits+3); the
-bound comes from explicit coefficient envelopes |t_n| <= (n+1)^deg * R^n
-(proved in the docstrings of _ENVELOPES), which give exact geometric-type
-tails, and the returned BigApprox error bound includes it.  Summation outside |z|*R < 1 raises
-DivergentInput — such entries are handled by certificates, never by
-summation.
+cleared (integer_recurrence), is handed to numerics.split_range, the
+engine's one integer binary split (Haible & Papanikolaou, ANTS 1998; the
+pi oracle's arctangents run on it too) of the step on (w_n, w_{n-1}, S_n),
+w_n = t_n z^n: the partial sum comes out as one exact rational T/Q, without
+a Fraction per term.  It serves both sum_terms and the digit runs of
+binsplit.pi_digits.  A first-order family (hyper3F2) carries a scalar P,
+the others a 2x2 block.  N is the first power of two from 16 whose tail
+bound is below 10^-(digits+3); the bound comes from explicit coefficient
+envelopes |t_n| <= (n+1)^deg * R^n (proved in the comment above
+_ENVELOPES for 0 < s < 1, the range parse_family accepts), which give exact
+geometric-type tails, and the returned BigApprox error bound includes it.
+Summation outside |z|*R < 1 raises DivergentInput — such entries are
+handled by certificates, never by summation.
 """
 
 from __future__ import annotations
@@ -53,12 +49,11 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction as QQ
-from typing import NamedTuple
 
 from .errors import DivergentInput, ParseError
 from .fps import Series, fps_mul
 from .numerics import BigApprox, RadConst, format_rational, parse_rational, pi_oracle
-from .numerics import _TOOM_BITS, _int_mul, _show_literal, mul, prec_for_digits, rad_to_bigapprox, sin_pi
+from .numerics import _show_literal, prec_for_digits, rad_to_bigapprox, sin_pi, split_range
 from .poly import poly, poly_eval, poly_mul
 
 # ============================================================
@@ -131,7 +126,10 @@ def parse_family(text: str) -> CoeffFamily:
     kind, _, stext = s.partition(":")
     if kind not in ("hyper3F2", "square2F1", "convCentral") or not stext:
         raise ParseError(f"unknown coefficient family: {_show_literal(text)}")
-    return CoeffFamily(kind, parse_rational(stext))
+    value = parse_rational(stext)
+    if not 0 < value < 1:  # the envelope proofs need 0 <= s <= 1
+        raise ParseError(f"family parameter must lie in (0, 1): {_show_literal(text)}")
+    return CoeffFamily(kind, value)
 
 
 # --- cached streams ----------------------------------------------------
@@ -172,7 +170,7 @@ def family_recurrence(fam: CoeffFamily) -> tuple[tuple, tuple]:
 
 
 def integer_recurrence(fam: CoeffFamily, z) -> tuple[tuple, tuple, tuple]:
-    """(A, B, D), integer polynomials in n with
+    """(A, B, D), integer cubics in n (low degree first) with
 
         D(n) w_{n+1} = A(n) w_n + B(n) w_{n-1}
 
@@ -191,14 +189,6 @@ def integer_recurrence(fam: CoeffFamily, z) -> tuple[tuple, tuple, tuple]:
         tuple(u * u * (c * d).numerator for c in Q),
         tuple(v**k * d * c for c in (1, 3, 3, 1)),
     )
-
-
-def int_poly_eval(p: tuple, n: int) -> int:
-    """An integer polynomial (low degree first) at n, by Horner; 0 for ()."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * n + c
-    return acc
 
 
 def _extend(fam: CoeffFamily, n: int) -> list:
@@ -236,6 +226,8 @@ def family_series(fam: CoeffFamily, order: int) -> Series:
 # convCentral: |(-4)^k (1/2)_k (q)_k / k!^2| <= 4^k, so |t_n| <= (n+1) 4^n.
 # domb:        sum_k C(2k,k) C(n,k)^2 <= 4^n sum C(n,k)^2 = 4^n C(2n,n)
 #              <= 16^n, times C(2n,n) <= 4^n gives 64^n.
+# The first three need 0 <= s <= 1 (for |(q)_k| <= k!, q = s or 1 - s too),
+# so parse_family refuses every other s.
 
 _ENVELOPES = {
     "hyper3F2": (1, 0),
@@ -332,121 +324,6 @@ def sum_terms(fam: CoeffFamily, a, b, z, N: int):
     L = math.lcm(a.denominator, b.denominator)
     node = split_range(integer_recurrence(fam, z), (a * L).numerator, (b * L).numerator, 0, N, False)
     return QQ(node.T, node.Q * L)
-
-
-class SplitNode(NamedTuple):
-    """Exact data for a half-open index range [lo, hi) of the weighted sum.
-
-    For the terms w_n = t_n z^n and the partial sums S_n of (a+bn) w_n,
-
-        Q S_hi = Q S_lo + T w_lo + U w_{lo-1},
-
-    and P carries the terms across the range: for a first-order family
-    (B = ()) P is an int with Q w_hi = P w_lo, and U = 0; otherwise P is the
-    2x2 block (X00, X01, X10, X11) with
-    Q (w_hi, w_{hi-1}) = (X00 w_lo + X01 w_{lo-1}, X10 w_lo + X11 w_{lo-1}).
-    Every node may carry a common factor, so only these ratios are fixed.
-    """
-
-    P: object  # int, a 2x2 block, or None when split without it
-    Q: int
-    T: int
-    U: int = 0
-
-
-# a scalar merge cancels a common factor only while the smaller of the left
-# P and the right Q has at most _GCD_MAX_BITS bits: CPython's gcd is
-# quadratic, and above it the gcd costs more than the smaller products save.
-# A block merge cancels while the right Q has more than _GCD_MIN_BITS bits
-# and at most _GCD_MAX_BITS: below, the five-way gcd costs more than it saves
-# (domb-16n3's root Q at 4096 terms: 73,585 bits against 72,829; CHANGES.md)
-_GCD_MAX_BITS = 16_000
-_GCD_MIN_BITS = 512
-
-# split_range multiplies out ranges of at most _LEAF terms serially
-_LEAF = 16
-
-# builds a SplitNode without NamedTuple's Python-level __new__, which costs a
-# small split (the catalog's) a tenth of its time
-_node = tuple.__new__
-
-
-def split_range(rec, a: int, b: int, lo: int, hi: int, with_p: bool = True) -> SplitNode:
-    """Exact SplitNode for [lo, hi) of rec = integer_recurrence(fam, z), with
-    integer weights a + bn.
-
-    The step D(n) x_{n+1} = M(n) x_n on x_n = (w_n, w_{n-1}, S_n), with
-
-        M(n) = [[A(n),          B(n), 0   ],
-                [D(n),          0,    0   ],
-                [(a+bn) D(n),   0,    D(n)]],
-
-    multiplies out over the range to [[P, 0], [(T, U), Q]] (binary splitting,
-    Haible & Papanikolaou, ANTS 1998; a first-order family has no w_{n-1}
-    column, so P is a scalar), and a node merges with its right sibling h as
-    P = P_h P, (T, U) = (T_h, U_h) P + Q_h (T, U), Q = Q_h Q.  Before that,
-    g = gcd(Q_h, entries of P) is divided out of both, which scales the
-    merged node by 1/g and drops the factors the terms cancel (Cheng,
-    Hanrot, Thome, Zima & Zimmermann, ISSAC 2007).  A merge reads only the
-    left sibling's P, so with with_p False the products along the right
-    spine are not formed and P is None there.  A range of at most _LEAF
-    terms is a leaf, multiplied out one term at a time (_split_leaf), and
-    merges whose operands are wide multiply by numerics.mul (Toom-3).
-    """
-    A, B, D = rec
-    if hi - lo <= _LEAF:
-        return _split_leaf(A, B, D, a, b, lo, hi, with_p)
-    mid = (lo + hi) // 2
-    lp, lq, lt, lu = split_range(rec, a, b, lo, mid)
-    rp, rq, rt, ru = split_range(rec, a, b, mid, hi, with_p)
-    m = mul if lq.bit_length() > _TOOM_BITS else _int_mul
-    if not B:
-        if lp.bit_length() <= _GCD_MAX_BITS or rq.bit_length() <= _GCD_MAX_BITS:
-            g = math.gcd(lp, rq)
-            if g > 1:
-                lp, rq = lp // g, rq // g
-        return _node(SplitNode, (m(lp, rp) if with_p else None, m(lq, rq), m(lt, rq) + m(lp, rt), 0))
-    l00, l01, l10, l11 = lp
-    if _GCD_MIN_BITS < rq.bit_length() <= _GCD_MAX_BITS:
-        g = math.gcd(rq, l00, l01, l10, l11)
-        if g > 1:
-            rq, l00, l01, l10, l11 = rq // g, l00 // g, l01 // g, l10 // g, l11 // g
-    p = None
-    if with_p:
-        h00, h01, h10, h11 = rp
-        p = (m(h00, l00) + m(h01, l10), m(h00, l01) + m(h01, l11),
-             m(h10, l00) + m(h11, l10), m(h10, l01) + m(h11, l11))
-    t = m(rt, l00) + m(ru, l10) + m(rq, lt)
-    return _node(SplitNode, (p, m(lq, rq), t, m(rt, l01) + m(ru, l11) + m(rq, lu)))
-
-
-def _split_leaf(A, B, D, a: int, b: int, lo: int, hi: int, with_p: bool):
-    """split_range's node for [lo, hi), multiplied out one term at a time
-    and divided by the gcd of all its entries.
-
-    Appending term n to a node is the merge with the one-term node
-    P_n = A(n) (the block (A(n), B(n), D(n), 0)), Q_n = D(n),
-    T_n = (a+bn) D(n), U_n = 0.
-    """
-    q, t, u = 1, 0, 0
-    if not B:
-        p = 1
-        for n in range(lo, hi):
-            d = int_poly_eval(D, n)
-            p, q, t = int_poly_eval(A, n) * p, q * d, (t + (a + b * n) * p) * d
-        g = math.gcd(p, q, t)
-        p = p // g if with_p else None
-        return _node(SplitNode, (p, q // g, t // g, 0))
-    x00, x01, x10, x11 = 1, 0, 0, 1
-    for n in range(lo, hi):
-        an, bn, d = int_poly_eval(A, n), int_poly_eval(B, n), int_poly_eval(D, n)
-        w = a + b * n
-        t, u = (t + w * x00) * d, (u + w * x01) * d
-        x00, x01, x10, x11 = an * x00 + bn * x10, an * x01 + bn * x11, d * x00, d * x01
-        q *= d
-    g = math.gcd(q, t, u, x00, x01, x10, x11)
-    p = (x00 // g, x01 // g, x10 // g, x11 // g) if with_p else None
-    return _node(SplitNode, (p, q // g, t // g, u // g))
 
 
 # ============================================================

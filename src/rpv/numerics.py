@@ -12,9 +12,10 @@ Three value kinds cover everything the engine needs:
   error bound in ulps.  All bounds are propagated outward (conservative), so
   "agrees to d digits" claims are sound, not heuristic.
 
-The pi oracle is Machin's formula, its two arctangent series summed by a
-cancelled binary split and brought to fixed point by Newton division, so it
-uses multiplications only.  Its error bound is the rigorous truncation and
+The pi oracle is Machin's formula, its two arctangent series summed by
+split_range, the engine's one binary split (the catalog's sums and digit
+runs use it too), and brought to fixed point by Newton division, so it uses
+multiplications only.  Its error bound is the rigorous truncation and
 rounding error of that evaluation, making the oracle independent of every
 series in the catalog.
 """
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction as QQ
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import IncompatibleRadicals, InvariantViolation, ParseError
 
@@ -640,53 +642,140 @@ def rad_to_bigapprox(c: RadConst, prec: int) -> BigApprox:
 
 
 # ============================================================
-# pi oracle: Machin's certified interval
+# binary splitting of a recurrence with cubic integer coefficients
 # ============================================================
 
-# the arctangent split sums leaves of up to _ATAN_LEAF terms serially, and a
-# merge cancels gcd(left P, right Q) while the smaller has at most
-# _ATAN_GCD_MAX_BITS bits (past that, CPython's quadratic gcd costs more than
-# the smaller products save)
-_ATAN_LEAF = 32
-_ATAN_GCD_MAX_BITS = 16_000
+class SplitNode(NamedTuple):
+    """Exact data for a half-open index range [lo, hi) of the weighted sum.
 
+    For the terms w_n of D(n) w_{n+1} = A(n) w_n + B(n) w_{n-1} and the
+    partial sums S_n of (a+bn) w_n,
 
-def _atan_split(k: int, lo: int, hi: int, with_p: bool = True) -> tuple:
-    """(P, Q, T) for terms [lo, hi) of atan(1/k) = (1/k) sum_j w_j, where
-    w_0 = 1 and w_{j+1}/w_j = -(2j+1)/((2j+3) k^2).
+        Q S_hi = Q S_lo + T w_lo + U w_{lo-1},
 
-    With p(j) = -(2j+1) and q(j) = (2j+3) k^2, w_lo T/Q is the range's sum
-    and P/Q = w_hi/w_lo.  Siblings merge as T = T1 Q2 + P1 T2, Q = Q1 Q2 and
-    P = P1 P2, after g = gcd(P1, Q2) is divided out of both, which keeps
-    both ratios and drops the odd factors the terms cancel (Cheng, Hanrot,
-    Thomé, Zima & Zimmermann, ISSAC 2007).  A merge reads only the left P,
-    so with with_p False the right spine's P is not formed and is None.
+    and P carries the terms across the range: for a first-order recurrence
+    (B = ()) P is an int with Q w_hi = P w_lo, and U = 0; otherwise P is the
+    2x2 block (X00, X01, X10, X11) with
+    Q (w_hi, w_{hi-1}) = (X00 w_lo + X01 w_{lo-1}, X10 w_lo + X11 w_{lo-1}).
+    Every node may carry a common factor, so only these ratios are fixed.
     """
-    if hi - lo <= _ATAN_LEAF:
-        kk = k * k
-        p, q, t = 1, 1, 0
-        for j in range(lo, hi):
-            d = (2 * j + 3) * kk
-            p, q, t = -(2 * j + 1) * p, q * d, (t + p) * d
-        return p, q, t
-    mid = (lo + hi) // 2
-    lp, lq, lt = _atan_split(k, lo, mid)
-    rp, rq, rt = _atan_split(k, mid, hi, with_p)
-    m = mul if lq.bit_length() > _TOOM_BITS else _int_mul
-    if lp.bit_length() <= _ATAN_GCD_MAX_BITS or rq.bit_length() <= _ATAN_GCD_MAX_BITS:
-        g = _math.gcd(lp, rq)
-        if g > 1:
-            lp, rq = lp // g, rq // g
-    return (m(lp, rp) if with_p else None), m(lq, rq), m(lt, rq) + m(lp, rt)
 
+    P: object  # int, a 2x2 block, or None when split without it
+    Q: int
+    T: int
+    U: int = 0
+
+
+# a scalar merge cancels a common factor only while the smaller of the left
+# P and the right Q has at most _GCD_MAX_BITS bits: CPython's gcd is
+# quadratic, and above it the gcd costs more than the smaller products save.
+# A block merge cancels while the right Q has more than _GCD_MIN_BITS bits
+# and at most _GCD_MAX_BITS: below, the five-way gcd costs more than it saves
+# (domb-16n3's root Q at 4096 terms: 73,585 bits against 72,829; CHANGES.md)
+_GCD_MAX_BITS = 16_000
+_GCD_MIN_BITS = 512
+
+# split_range multiplies out ranges of at most _LEAF terms serially
+_LEAF = 16
+
+# builds a SplitNode without NamedTuple's Python-level __new__, which costs a
+# small split (the catalog's) a tenth of its time
+_node = tuple.__new__
+
+
+def split_range(rec, a: int, b: int, lo: int, hi: int, with_p: bool = True) -> SplitNode:
+    """Exact SplitNode for [lo, hi) of rec = (A, B, D), integer cubics in n
+    (B = () for a first-order recurrence), with integer weights a + bn.
+
+    The step D(n) x_{n+1} = M(n) x_n on x_n = (w_n, w_{n-1}, S_n), with
+
+        M(n) = [[A(n),          B(n), 0   ],
+                [D(n),          0,    0   ],
+                [(a+bn) D(n),   0,    D(n)]],
+
+    multiplies out over the range to [[P, 0], [(T, U), Q]] (binary splitting,
+    Haible & Papanikolaou, ANTS 1998; a first-order recurrence has no
+    w_{n-1} column, so P is a scalar), and a node merges with its right
+    sibling h as P = P_h P, (T, U) = (T_h, U_h) P + Q_h (T, U), Q = Q_h Q.
+    Before that, g = gcd(Q_h, entries of P) is divided out of both, which
+    scales the merged node by 1/g and drops the factors the terms cancel
+    (Cheng, Hanrot, Thome, Zima & Zimmermann, ISSAC 2007).  A merge reads
+    only the left sibling's P, so with with_p False the products along the
+    right spine are not formed and P is None there.  A range of at most
+    _LEAF terms is a leaf, multiplied out one term at a time (_split_leaf),
+    and merges whose operands are wide multiply by mul (Toom-3).
+    """
+    A, B, D = rec
+    if hi - lo <= _LEAF:
+        return _split_leaf(A, B, D, a, b, lo, hi, with_p)
+    mid = (lo + hi) // 2
+    lp, lq, lt, lu = split_range(rec, a, b, lo, mid)
+    rp, rq, rt, ru = split_range(rec, a, b, mid, hi, with_p)
+    m = mul if lq.bit_length() > _TOOM_BITS else _int_mul
+    if not B:
+        if lp.bit_length() <= _GCD_MAX_BITS or rq.bit_length() <= _GCD_MAX_BITS:
+            g = _math.gcd(lp, rq)
+            if g > 1:
+                lp, rq = lp // g, rq // g
+        return _node(SplitNode, (m(lp, rp) if with_p else None, m(lq, rq), m(lt, rq) + m(lp, rt), 0))
+    l00, l01, l10, l11 = lp
+    if _GCD_MIN_BITS < rq.bit_length() <= _GCD_MAX_BITS:
+        g = _math.gcd(rq, l00, l01, l10, l11)
+        if g > 1:
+            rq, l00, l01, l10, l11 = rq // g, l00 // g, l01 // g, l10 // g, l11 // g
+    p = None
+    if with_p:
+        h00, h01, h10, h11 = rp
+        p = (m(h00, l00) + m(h01, l10), m(h00, l01) + m(h01, l11),
+             m(h10, l00) + m(h11, l10), m(h10, l01) + m(h11, l11))
+    t = m(rt, l00) + m(ru, l10) + m(rq, lt)
+    return _node(SplitNode, (p, m(lq, rq), t, m(rt, l01) + m(ru, l11) + m(rq, lu)))
+
+
+def _split_leaf(A, B, D, a: int, b: int, lo: int, hi: int, with_p: bool):
+    """split_range's node for [lo, hi), multiplied out one term at a time
+    and divided by the gcd of all its entries.
+
+    Appending term n to a node is the merge with the one-term node
+    P_n = A(n) (the block (A(n), B(n), D(n), 0)), Q_n = D(n),
+    T_n = (a+bn) D(n), U_n = 0.  The cubics are evaluated by Horner inline.
+    """
+    a0, a1, a2, a3 = A
+    d0, d1, d2, d3 = D
+    q, t, u = 1, 0, 0
+    if not B:
+        p = 1
+        for n in range(lo, hi):
+            d = d0 + n * (d1 + n * (d2 + n * d3))
+            p, q, t = (a0 + n * (a1 + n * (a2 + n * a3))) * p, q * d, (t + (a + b * n) * p) * d
+        g = _math.gcd(p, q, t)
+        p = p // g if with_p else None
+        return _node(SplitNode, (p, q // g, t // g, 0))
+    b0, b1, b2, b3 = B
+    x00, x01, x10, x11 = 1, 0, 0, 1
+    for n in range(lo, hi):
+        an, bn = a0 + n * (a1 + n * (a2 + n * a3)), b0 + n * (b1 + n * (b2 + n * b3))
+        d, w = d0 + n * (d1 + n * (d2 + n * d3)), a + b * n
+        t, u = (t + w * x00) * d, (u + w * x01) * d
+        x00, x01, x10, x11 = an * x00 + bn * x10, an * x01 + bn * x11, d * x00, d * x01
+        q *= d
+    g = _math.gcd(q, t, u, x00, x01, x10, x11)
+    p = (x00 // g, x01 // g, x10 // g, x11 // g) if with_p else None
+    return _node(SplitNode, (p, q // g, t // g, u // g))
+
+
+# ============================================================
+# pi oracle: Machin's certified interval
+# ============================================================
 
 def machin_pi(prec: int) -> tuple[int, int]:
     """(man, err_ulps) for pi = 16*atan(1/5) - 4*atan(1/239) at scale 2^prec.
 
-    Each arctangent series is summed exactly by _atan_split and brought to
-    fixed point by its own Newton division.  Being alternating and
-    decreasing, a series stopped after n terms leaves a tail below the first
-    omitted term w/((2n+1) k^(2n+1)) for weight w.  k^1024 >= 2^lb gives
+    atan(1/k) = (1/k) sum_j w_j, w_0 = 1, w_{j+1}/w_j = -(2j+1)/((2j+3) k^2),
+    is summed exactly by split_range (weight a + bn = 1: T/Q is the partial
+    sum) and brought to fixed point by its own Newton division.  Alternating
+    and decreasing, a series stopped after n terms leaves a tail below the
+    first omitted term w/((2n+1) k^(2n+1)) for weight w.  k^1024 >= 2^lb gives
     k^e >= 2^(e lb/1024), so n is the least with (2n+1) lb >= 1024 (prec +
     bits of w): the tail is below one ulp, and one ulp is added per series.
     """
@@ -694,8 +783,8 @@ def machin_pi(prec: int) -> tuple[int, int]:
     for k, weight, sign in ((5, 16, 1), (239, 4, -1)):
         lb = (k**1024).bit_length() - 1
         n = -(-1024 * (prec + weight.bit_length()) // lb) // 2
-        _, q, t = _atan_split(k, 0, n, False)
-        m, div_err = fixed_div(weight * t, k * q, prec)
+        node = split_range(((-1, -2, 0, 0), (), (3 * k * k, 2 * k * k, 0, 0)), 1, 0, 0, n, False)
+        m, div_err = fixed_div(weight * node.T, k * node.Q, prec)
         man += sign * m
         err += div_err + 1
     return man, err

@@ -6,18 +6,18 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from rpv import binsplit, hyper
+from rpv import binsplit, hyper, numerics
 from rpv.binsplit import digits_file_text, oracle_digits, pi_digits, terms_needed
 from rpv.catalog import load_catalog
 from rpv.errors import DivergentInput, InvariantViolation, NonExactConstant
-from rpv.hyper import coeff, integer_recurrence, int_poly_eval, split_range, sum_terms
-from rpv.numerics import BigApprox, RadConst
+from rpv.hyper import coeff, integer_recurrence, sum_terms
+from rpv.numerics import BigApprox, RadConst, split_range
 from rpv.translate import SeriesSpec
 from rpv.hyper import hyper3F2
 
 # one entry per family: first order, then the three second-order families
 SPLIT_IDS = ("s14-08", "domb-16n3", "start-1/3", "sun-cor2a")
-# ranges up to hyper._LEAF terms are one serial leaf; the longer ones merge
+# ranges up to numerics._LEAF terms are one serial leaf; the longer ones merge
 RANGES = [(0, 1), (0, 2), (0, 7), (7, 16), (0, 16), (0, 17), (3, 40), (0, 100)]
 
 
@@ -64,8 +64,8 @@ def test_merge_matches_leaf_sums(entries, monkeypatch):
     # range, and P/Q carries (w_lo, w_{lo-1}) to (w_hi, w_{hi-1}), here with
     # the terms accumulated without the merge formula; with no lower gcd
     # limit the block merges of these short ranges cancel too
-    for low in (hyper._GCD_MIN_BITS, 0):
-        monkeypatch.setattr(hyper, "_GCD_MIN_BITS", low)
+    for low in (numerics._GCD_MIN_BITS, 0):
+        monkeypatch.setattr(numerics, "_GCD_MIN_BITS", low)
         for eid in SPLIT_IDS:
             spec = entries[eid].spec
             rec = integer_recurrence(spec.fam, spec.z)
@@ -99,7 +99,7 @@ def test_serial_leaves_keep_the_one_term_ratios(entries, monkeypatch):
         for with_p in (True, False):
             leaves = [split_range(rec, 1, 8, lo, hi, with_p) for lo, hi in cases]
             with monkeypatch.context() as mp:
-                mp.setattr(hyper, "_LEAF", 1)
+                mp.setattr(numerics, "_LEAF", 1)
                 ones = [split_range(rec, 1, 8, lo, hi, with_p) for lo, hi in cases]
             for (lo, hi), leaf, one in zip(cases, leaves, ones):
                 assert _ratios(leaf) == _ratios(one), (eid, lo, hi, with_p)
@@ -112,7 +112,7 @@ def test_merge_cancels_common_factors(entries):
         spec = entries[eid].spec
         rec = integer_recurrence(spec.fam, spec.z)
         node = split_range(rec, 1, 8, 0, n, False)
-        unreduced = math.prod(int_poly_eval(rec[2], k) for k in range(n))
+        unreduced = math.prod(sum(c * k**i for i, c in enumerate(rec[2])) for k in range(n))
         assert 2 * node.Q.bit_length() <= unreduced.bit_length(), eid
 
 
@@ -140,7 +140,7 @@ def test_partial_sums_exact(entries, monkeypatch):
     # split; s16-11 stops at 300 terms, where its Fraction reference is still
     # cheap
     targets = [1, 2, 3, 10, 37, 128, 1000]
-    limits = ((hyper._GCD_MIN_BITS, hyper._GCD_MAX_BITS), (0, 256))
+    limits = ((numerics._GCD_MIN_BITS, numerics._GCD_MAX_BITS), (0, 256))
     cases = [("s12-04", 1000), ("s14-01", 1000), ("s14-08", 1000), ("s16-11", 300)]
     cases += [("domb-16n3", 300), ("start-1/3", 300), ("sun-cor2a", 300)]
     for eid, last in cases:
@@ -152,9 +152,27 @@ def test_partial_sums_exact(entries, monkeypatch):
                 acc += (spec.a + spec.b * n) * coeff(spec.fam, n) * spec.z**n
                 n += 1
             for low, high in limits:
-                monkeypatch.setattr(hyper, "_GCD_MIN_BITS", low)
-                monkeypatch.setattr(hyper, "_GCD_MAX_BITS", high)
+                monkeypatch.setattr(numerics, "_GCD_MIN_BITS", low)
+                monkeypatch.setattr(numerics, "_GCD_MAX_BITS", high)
                 assert sum_terms(spec.fam, spec.a, spec.b, spec.z, target) == acc
+    # Machin's arctangents, atan(1/k) = (1/k) sum_j w_j with w_0 = 1 and
+    # w_{j+1}/w_j = -(2j+1)/((2j+3) k^2): the partial sums and w_n, with the
+    # scalar merge's gcd at its default limit and off
+    for k in (5, 239):
+        rec = ((-1, -2, 0, 0), (), (3 * k * k, 2 * k * k, 0, 0))
+        for high in (limits[0][1], 0):
+            monkeypatch.setattr(numerics, "_GCD_MAX_BITS", high)
+            total, w = QQ(0), QQ(1)  # sum of w_j for j < n, and w_n
+            for n in range(1, 201):
+                total += w
+                w *= QQ(-(2 * n - 1), (2 * n + 1) * k * k)
+                p, q, t, u = split_range(rec, 1, 0, 0, n)
+                assert (QQ(t, q), QQ(p, q), u) == (total, w, 0), (k, high, n)
+                assert split_range(rec, 1, 0, 0, n, False)[1:] == (q, t, 0)
+            # a range that starts past 0 sums w_j/w_lo
+            p0, q0, t0, _ = split_range(rec, 1, 0, 0, 70)
+            _, q, t, _ = split_range(rec, 1, 0, 70, 200)
+            assert QQ(p0, q0) * QQ(t, q) == total - QQ(t0, q0), (k, high)
 
 
 def test_terms_needed_covers_tolerance(entries):

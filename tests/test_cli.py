@@ -287,6 +287,38 @@ def test_misshapen_catalog_exits_2(monkeypatch, tmp_path, catalog, certificates)
     assert "internal error" not in err
 
 
+def _catalog_with_field(tmp_path, entry_id, key, json_text):
+    """A catalog copy whose entry entry_id has key set to the literal JSON
+    text json_text (so 1e400 stays a number that overflows a float)."""
+    doc = json.loads((DATA_DIR / "catalog.json").read_text())
+    for entry in doc["entries"]:
+        if entry["id"] == entry_id:
+            entry[key] = "@@field@@"
+    text = json.dumps(doc).replace('"@@field@@"', json_text)
+    (tmp_path / "catalog.json").write_text(text)
+    shutil.copy(DATA_DIR / "certificates.json", tmp_path)
+    return str(tmp_path / "catalog.json")
+
+
+@pytest.mark.parametrize(
+    "key, json_text, message",
+    [("paper_line", "1e400", "field 'paper_line' must be a JSON integer"),
+     ("c_m", "1e400", "field 'c_m' must be a JSON integer"),
+     ("c_m", "2.5", "field 'c_m' must be a JSON integer"),
+     ("c_t", "true", "field 'c_t' must be a JSON integer"),
+     ("paper_line", '"12"', "field 'paper_line' must be a JSON integer"),
+     ("s", '"1000/3"', "family parameter must lie in (0, 1)")],
+)
+def test_bad_catalog_field_exits_2(monkeypatch, tmp_path, key, json_text, message):
+    # 1e400 used to end in an internal OverflowError (exit 3) and 2.5 was
+    # read as 2; at s = 1000/3 the envelope bound fails, so the sum was wrong
+    # while its certified error bound was tiny
+    monkeypatch.setenv("RPV_CATALOG", _catalog_with_field(tmp_path, "s12-04", key, json_text))
+    code, _, err = run_cli(["verify", "--digits", "5", "--jobs", "1"])
+    assert code == 2, err
+    assert f"catalog entry s12-04: {message}" in err
+
+
 def test_sun_checks_run():
     for name in ["2.11", "rogers"]:
         code, out, _ = run_cli(["sun", "--check", name, "--digits", "15"])

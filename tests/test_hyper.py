@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from rpv.errors import DivergentInput
+from rpv.errors import DivergentInput, ParseError
 from rpv.fps import Series, fps_mul
 from rpv.hyper import (
     CheckReport,
@@ -206,6 +206,16 @@ def test_domb_recurrence_wz_certificate():
 def test_family_string_roundtrip():
     for fam in (hyper3F2(QQ(1, 6)), square2F1(QQ(1, 4)), convCentral(QQ(1, 3)), domb()):
         assert parse_family(str(fam)) == fam
+
+
+@pytest.mark.parametrize("s", ["0", "1", "-1/2", "3/2", "1000/3"])
+@pytest.mark.parametrize("kind", ["hyper3F2", "square2F1", "convCentral"])
+def test_family_parameter_outside_unit_interval_refused(kind, s):
+    # the envelope proofs need 0 <= s <= 1: hyper3F2:1000/3 at z = 1/2 used
+    # to sum to -5.37e122 with a certified bound below 1e-10
+    with pytest.raises(ParseError, match=r"must lie in \(0, 1\)"):
+        parse_family(f"{kind}:{s}")
+    assert parse_family(f"{kind}:1/5") == CoeffFamily(kind, QQ(1, 5))
 
 
 def test_envelope_is_sound_sampled():

@@ -301,23 +301,6 @@ def test_pi_oracle_identical_over_brent_salamin(digits):
     assert pi == BigApprox(agm >> 32, target, ((abs(agm - mac) + mac_err + 2) >> 32) + 2)
 
 
-@pytest.mark.parametrize("gcd_max_bits", [numerics._ATAN_GCD_MAX_BITS, 0])
-@pytest.mark.parametrize("k", [5, 239])
-def test_atan_split_equals_exact_partial_sums(monkeypatch, k, gcd_max_bits):
-    monkeypatch.setattr(numerics, "_ATAN_GCD_MAX_BITS", gcd_max_bits)
-    total, w = QQ(0), QQ(1)  # sum of w_j for j < n, and w_n
-    for n in range(1, 201):
-        total += w
-        w *= QQ(-(2 * n - 1), (2 * n + 1) * k * k)
-        p, q, t = numerics._atan_split(k, 0, n)
-        assert QQ(t, q) == total and QQ(p, q) == w
-        assert numerics._atan_split(k, 0, n, False)[1:] == (q, t)
-    # a range that starts past 0 sums w_j/w_lo
-    p0, q0, t0 = numerics._atan_split(k, 0, 70)
-    p, q, t = numerics._atan_split(k, 70, 200)
-    assert QQ(p0, q0) * QQ(t, q) == total - QQ(t0, q0)
-
-
 def test_pi_oracle_takes_no_large_isqrt(monkeypatch):
     # Machin's interval takes no square root at all
     small = []

@@ -23,6 +23,7 @@ from rpv.hyper import (
     sum_terms,
     tail_bound,
 )
+from rpv.poly import poly_eval
 from rpv.numerics import BigApprox, prec_for_digits
 from rpv.transforms import get_rule, rule_ids, verify_rule_numeric
 from rpv.translate import GATE_DIGITS, _gate_point, replay
@@ -65,8 +66,8 @@ def test_integer_recurrence_holds_for_terms():
         assert all(isinstance(c, int) for c in A + B + D)
         w = [hyper.coeff(fam, n) * z**n for n in range(12)]
         for n in range(1, 11):
-            lhs = hyper.int_poly_eval(D, n) * w[n + 1]
-            assert lhs == hyper.int_poly_eval(A, n) * w[n] + hyper.int_poly_eval(B, n) * w[n - 1]
+            lhs = poly_eval(D, n) * w[n + 1]
+            assert lhs == poly_eval(A, n) * w[n] + poly_eval(B, n) * w[n - 1]
 
 
 def test_sum_terms_small_cases():

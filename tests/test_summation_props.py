@@ -10,7 +10,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from rpv import hyper
+from rpv import numerics
 from rpv.hyper import CoeffFamily, family_envelope, sum_terms
 from test_summation import reference_sum
 
@@ -43,9 +43,9 @@ def _inputs(draw):
 @example((CoeffFamily("domb", QQ(0)), QQ(3), QQ(16), QQ(1, 65), 600))
 def test_split_equals_fraction_sum(args):
     want = reference_sum(*args)
-    default = hyper._GCD_MIN_BITS, hyper._GCD_MAX_BITS
+    default = numerics._GCD_MIN_BITS, numerics._GCD_MAX_BITS
     try:
-        for hyper._GCD_MIN_BITS, hyper._GCD_MAX_BITS in (default, (0, 256)):
+        for numerics._GCD_MIN_BITS, numerics._GCD_MAX_BITS in (default, (0, 256)):
             assert sum_terms(*args) == want
     finally:
-        hyper._GCD_MIN_BITS, hyper._GCD_MAX_BITS = default
+        numerics._GCD_MIN_BITS, numerics._GCD_MAX_BITS = default
