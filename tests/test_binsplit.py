@@ -155,24 +155,6 @@ def test_partial_sums_exact(entries, monkeypatch):
                 monkeypatch.setattr(numerics, "_GCD_MIN_BITS", low)
                 monkeypatch.setattr(numerics, "_GCD_MAX_BITS", high)
                 assert sum_terms(spec.fam, spec.a, spec.b, spec.z, target) == acc
-    # Machin's arctangents, atan(1/k) = (1/k) sum_j w_j with w_0 = 1 and
-    # w_{j+1}/w_j = -(2j+1)/((2j+3) k^2): the partial sums and w_n, with the
-    # scalar merge's gcd at its default limit and off
-    for k in (5, 239):
-        rec = ((-1, -2, 0, 0), (), (3 * k * k, 2 * k * k, 0, 0))
-        for high in (limits[0][1], 0):
-            monkeypatch.setattr(numerics, "_GCD_MAX_BITS", high)
-            total, w = QQ(0), QQ(1)  # sum of w_j for j < n, and w_n
-            for n in range(1, 201):
-                total += w
-                w *= QQ(-(2 * n - 1), (2 * n + 1) * k * k)
-                p, q, t, u = split_range(rec, 1, 0, 0, n)
-                assert (QQ(t, q), QQ(p, q), u) == (total, w, 0), (k, high, n)
-                assert split_range(rec, 1, 0, 0, n, False)[1:] == (q, t, 0)
-            # a range that starts past 0 sums w_j/w_lo
-            p0, q0, t0, _ = split_range(rec, 1, 0, 0, 70)
-            _, q, t, _ = split_range(rec, 1, 0, 70, 200)
-            assert QQ(p0, q0) * QQ(t, q) == total - QQ(t0, q0), (k, high)
 
 
 def test_terms_needed_covers_tolerance(entries):

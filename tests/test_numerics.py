@@ -301,6 +301,26 @@ def test_pi_oracle_identical_over_brent_salamin(digits):
     assert pi == BigApprox(agm >> 32, target, ((abs(agm - mac) + mac_err + 2) >> 32) + 2)
 
 
+@pytest.mark.parametrize("gcd_max_bits", [numerics._GCD_MAX_BITS, 0])
+@pytest.mark.parametrize("k", [5, 239])
+def test_atan_split_equals_exact_partial_sums(monkeypatch, k, gcd_max_bits):
+    # Machin's arctangents through split_range: atan(1/k) = (1/k) sum_j w_j
+    # with w_0 = 1 and w_{j+1}/w_j = -(2j+1)/((2j+3) k^2)
+    monkeypatch.setattr(numerics, "_GCD_MAX_BITS", gcd_max_bits)
+    rec = ((-1, -2, 0, 0), (), (3 * k * k, 2 * k * k, 0, 0))
+    total, w = QQ(0), QQ(1)  # sum of w_j for j < n, and w_n
+    for n in range(1, 201):
+        total += w
+        w *= QQ(-(2 * n - 1), (2 * n + 1) * k * k)
+        p, q, t, u = numerics.split_range(rec, 1, 0, 0, n)
+        assert QQ(t, q) == total and QQ(p, q) == w and u == 0
+        assert numerics.split_range(rec, 1, 0, 0, n, False)[1:] == (q, t, 0)
+    # a range that starts past 0 sums w_j/w_lo
+    p0, q0, t0, _ = numerics.split_range(rec, 1, 0, 0, 70)
+    _, q, t, _ = numerics.split_range(rec, 1, 0, 70, 200)
+    assert QQ(p0, q0) * QQ(t, q) == total - QQ(t0, q0)
+
+
 def test_pi_oracle_takes_no_large_isqrt(monkeypatch):
     # Machin's interval takes no square root at all
     small = []
