@@ -5,24 +5,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from fractions import Fraction as QQ
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 from .errors import InvariantViolation, ParseError
-from .hyper import Report, domb, eval_numeric, family_envelope, parse_family
-from .numerics import (
-    BigApprox,
-    RadConst,
-    capped_radicand,
-    format_rational,
-    parse_rational,
-    pi_oracle,
-    prec_for_digits,
-    rad_to_bigapprox,
-)
+from .hyper import Report, against_pi, domb, eval_numeric, family_envelope, parse_family
+from .numerics import RadConst, capped_radicand, format_rational, parse_rational
 from .parallel import parallel_map
-from .translate import Certificate, SeriesSpec, json_field, replay
+from .translate import Certificate, SeriesSpec, _parsed, json_field, replay
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 STATUSES = ("proved-start", "proved-translation", "numeric-only", "divergent-certificate")
@@ -65,41 +55,35 @@ def _entry_from_json(rec: dict, certs: dict) -> CatalogEntry:
         raise ParseError(f"catalog entry {rec!r:.40} is not a JSON object")
     try:
         for key in ("c_m", "c_t", "paper_line"):
-            if type(rec[key]) is not int:  # refuses bools, 2.5 and 1e400
+            if type(json_field(rec, key)) is not int:  # refuses bools, 2.5 and 1e400
                 raise ParseError(f"field {key!r} must be a JSON integer")
-        fam = (
-            domb()
-            if rec["family"] == "domb"
-            else parse_family(f"{rec['family']}:{rec['s']}")
-        )
-        spec = SeriesSpec(
-            fam,
-            parse_rational(rec["z"]),
-            parse_rational(rec["a"]),
-            parse_rational(rec["b"]),
-            RadConst(
-                parse_rational(rec["c_r"]),
-                capped_radicand(rec["c_m"]),
-                rec["c_t"],
-            ),
-        )
-        wrappers = certs.get(rec["id"], [])
+        entry_id = json_field(rec, "id", str)
+        family = json_field(rec, "family", str)
+        fam = domb() if family == "domb" else parse_family(f"{family}:{json_field(rec, 's', str)}")
+        z, a, b, c_r = (_parsed(rec, key, parse_rational) for key in ("z", "a", "b", "c_r"))
+        spec = SeriesSpec(fam, z, a, b, RadConst(c_r, capped_radicand(rec["c_m"]), rec["c_t"]))
+        tags = json_field(rec, "tags", list)
+        if not all(isinstance(t, str) for t in tags):
+            raise ParseError("field 'tags' must be an array of strings")
+        wrappers = certs.get(entry_id, [])
         if not (isinstance(wrappers, list) and all(isinstance(w, dict) for w in wrappers)):
             raise ParseError("its certificates must be a list of JSON objects")
         for w in wrappers:
             if w.get("kind") not in CERTIFICATE_KINDS:
                 raise ParseError(f"unknown certificate kind {w.get('kind')!r:.40}")
         entry = CatalogEntry(
-            id=rec["id"],
+            id=entry_id,
             spec=spec,
-            status=rec["status"],
-            tags=tuple(rec["tags"]),
+            status=json_field(rec, "status", str),
+            tags=tuple(tags),
             paper_line=rec["paper_line"],
-            note=rec.get("note", ""),
-            discrepancy_note=rec.get("discrepancy_note", ""),
+            note=json_field(rec, "note", str) if "note" in rec else "",
+            discrepancy_note=(
+                json_field(rec, "discrepancy_note", str) if "discrepancy_note" in rec else ""
+            ),
             certificates=tuple(wrappers),
         )
-    except (KeyError, ValueError, TypeError, ParseError) as exc:
+    except (ValueError, ParseError) as exc:
         raise ParseError(f"catalog entry {rec.get('id', '?')}: {exc}") from exc
     if entry.status not in STATUSES:
         raise ParseError(f"catalog entry {entry.id}: unknown status {entry.status!r}")
@@ -206,15 +190,10 @@ def get_entry(entries: list, entry_id: str) -> CatalogEntry:
 # verification
 # ============================================================
 
-def _verify_numeric(entry: CatalogEntry, digits: int, pi: BigApprox) -> VerifyReport:
-    work = digits + 5
-    prec = prec_for_digits(work)
+def _verify_numeric(entry: CatalogEntry, digits: int) -> VerifyReport:
     s = entry.spec
-    total = eval_numeric(s.fam, s.a, s.b, s.z, work).rescale(prec)
-    computed = total * pi.rescale(prec)
-    target = rad_to_bigapprox(s.c, prec)
-    agreed = computed.digits_agreed(target)
-    ok = computed.agrees_to(target, digits)
+    total = eval_numeric(s.fam, s.a, s.b, s.z, digits + 5)
+    computed, target, ok, agreed = against_pi(total, s.c, digits)
     detail = f"sum times pi vs {s.c} at {digits} digits"
     if entry.discrepancy_note:
         detail += f" [discrepancy: {entry.discrepancy_note}]"
@@ -229,7 +208,7 @@ def _verify_numeric(entry: CatalogEntry, digits: int, pi: BigApprox) -> VerifyRe
     )
 
 
-def _replay_transport(entry: CatalogEntry, wrapper: dict, entries) -> tuple:
+def _replay_transport(entry: CatalogEntry, wrapper: dict, entries: list) -> tuple:
     """Replay one stored transport certificate; returns (ok, detail)."""
     stored = json_field(wrapper, "certificate", dict)
     cert = Certificate.from_json(stored)
@@ -237,10 +216,9 @@ def _replay_transport(entry: CatalogEntry, wrapper: dict, entries) -> tuple:
     if not rep.passed:
         return False, f"replay failed: {rep.detail}"
     src_id = json_field(wrapper, "source_id", str)
-    if entries is not None and src_id:
-        src = get_entry(entries, src_id)
-        if not (cert.source == src.spec or cert.source.same_identity(src.spec)):
-            return False, f"stored source does not match catalog entry {src_id}"
+    src = get_entry(entries, src_id)
+    if not (cert.source == src.spec or cert.source.same_identity(src.spec)):
+        return False, f"stored source does not match catalog entry {src_id}"
     tgt = cert.target
     spec = entry.spec
     if tgt.fam != spec.fam or tgt.z != spec.z:
@@ -261,14 +239,14 @@ def _replay_transport(entry: CatalogEntry, wrapper: dict, entries) -> tuple:
     return True, f"transport from {src_id} reproduces the entry exactly"
 
 
-def _verify_certificates(entry: CatalogEntry, entries) -> VerifyReport:
+def _verify_certificates(entry: CatalogEntry, entries: list) -> VerifyReport:
     try:
         return _check_certificates(entry, entries)
     except ParseError as exc:
         raise ParseError(f"certificate of {entry.id}: {exc}") from exc
 
 
-def _check_certificates(entry: CatalogEntry, entries) -> VerifyReport:
+def _check_certificates(entry: CatalogEntry, entries: list) -> VerifyReport:
     details = []
     ok = True
     transports = [c for c in entry.certificates if c["kind"] == "transport"]
@@ -301,22 +279,16 @@ def _check_certificates(entry: CatalogEntry, entries) -> VerifyReport:
     )
 
 
-def verify_entry(
-    entry: CatalogEntry,
-    digits: int,
-    pi: BigApprox | None = None,
-    entries: list | None = None,
-) -> VerifyReport:
-    """Check one catalog entry at the requested digit count.
+def verify_entry(entry: CatalogEntry, digits: int, entries: list) -> VerifyReport:
+    """Check one entry of the catalog `entries` at the requested digit count.
 
-    Convergent entries are summed and compared against c/pi; boundary and
-    divergent entries replay their stored certificates instead.  Entries that
-    carry both a numeric value and transport certificates must pass both.
+    Convergent entries are summed and compared against c/pi (hyper.against_pi);
+    boundary and divergent entries replay their stored certificates instead,
+    each checked against the catalog entry it names as its source.  Entries
+    that carry both a numeric value and transport certificates must pass both.
     """
-    if pi is None and entry.edge < 1:
-        pi = pi_oracle(digits + 5)
     if entry.edge < 1:
-        report = _verify_numeric(entry, digits, pi)
+        report = _verify_numeric(entry, digits)
         if any(c["kind"] == "transport" for c in entry.certificates):
             cert_rep = _verify_certificates(entry, entries)
             report = replace(
@@ -328,32 +300,23 @@ def verify_entry(
     return _verify_certificates(entry, entries)
 
 
-@lru_cache(maxsize=1)
-def _worker_catalog(path: str | None) -> list:
+@cache
+def _worker_catalog() -> list:
     # pool workers only: one catalog load per worker process, not per entry
-    return load_catalog(path)
+    return load_catalog()
 
 
-def _verify_one_by_id(path: str | None, entry_id: str, digits: int) -> VerifyReport:
-    entries = _worker_catalog(path)
-    return verify_entry(get_entry(entries, entry_id), digits, entries=entries)
+def _verify_one_by_id(entry_id: str, digits: int) -> VerifyReport:
+    entries = _worker_catalog()
+    return verify_entry(get_entry(entries, entry_id), digits, entries)
 
 
-def verify_all(
-    digits: int,
-    path: str | None = None,
-    ids: list | None = None,
-    jobs: int = 1,
-) -> list:
-    """Verify the whole catalog (or a chosen id subset) in catalog order."""
-    entries = load_catalog(path)
-    if ids is not None:
-        chosen = [get_entry(entries, i) for i in ids]
-    else:
-        chosen = entries
+def verify_all(digits: int, ids: list | None = None, jobs: int = 1) -> list:
+    """Verify the catalog load_catalog() reads (or a chosen id subset), in
+    catalog order, over up to `jobs` processes; spawned workers load the same
+    catalog, since they inherit RPV_CATALOG from the environment."""
+    entries = load_catalog()
+    chosen = entries if ids is None else [get_entry(entries, i) for i in ids]
     if jobs > 1 and len(chosen) > 1:
-        return parallel_map(
-            _verify_one_by_id, [(path, e.id, digits) for e in chosen], jobs
-        )
-    pi = pi_oracle(digits + 5)
-    return [verify_entry(e, digits, pi=pi, entries=entries) for e in chosen]
+        return parallel_map(_verify_one_by_id, [(e.id, digits) for e in chosen], jobs)
+    return [verify_entry(e, digits, entries) for e in chosen]

@@ -27,7 +27,7 @@ from .special import (
     sun_4_14,
     sun_S2_identity,
 )
-from .transforms import get_rule, rule_ids, verify_rule_formal
+from .transforms import get_rule, rule_ids, rule_report
 from .translate import Certificate, replay, translate
 
 
@@ -153,8 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_verify(args) -> int:
     ids = [args.entry_id] if args.entry_id else None
-    if ids:
-        get_entry(load_catalog(), ids[0])
     reports = verify_all(args.digits, ids=ids, jobs=args.jobs)
     ok = all(r.passed for r in reports)
     if args.json:
@@ -177,43 +175,21 @@ def _run_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _rule_check(rid: str, order: int) -> tuple:
-    rep = verify_rule_formal(get_rule(rid), order)
-    return rid, rep.passed, rep.detail
-
-
 def _run_rules_verify(args) -> int:
     chosen = [args.rule_id] if args.rule_id else rule_ids()
-    rules = {rid: get_rule(rid) for rid in chosen}
-    rows = parallel_map(
-        _rule_check, [(rid, args.order) for rid in chosen], args.jobs
-    )
-    ok = all(passed for _, passed, _ in rows)
+    reports = parallel_map(rule_report, [(rid, args.order) for rid in chosen], args.jobs)
+    ok = all(r.passed for r in reports)
     if args.json:
-        _emit(
-            {
-                "order": args.order,
-                "pass": ok,
-                "reports": [
-                    {
-                        "id": rid,
-                        "pass": passed,
-                        "detail": detail,
-                        "caveat": rules[rid].note if "warning" in rules[rid].tags else None,
-                    }
-                    for rid, passed, detail in rows
-                ],
-            }
-        )
+        _emit({"order": args.order, "pass": ok, "reports": [r.to_json() for r in reports]})
     else:
-        for rid, passed, detail in rows:
-            flag = "pass" if passed else "FAIL"
-            line = f"{rid:<14} {flag:<4} order={args.order}"
-            if "warning" in rules[rid].tags:
-                line += f"  caveat: {rules[rid].note}"
+        for r in reports:
+            flag = "pass" if r.passed else "FAIL"
+            line = f"{r.id:<14} {flag:<4} order={args.order}"
+            if r.caveat is not None:
+                line += f"  caveat: {r.caveat}"
             print(line)
-        npass = sum(1 for _, passed, _ in rows if passed)
-        print(f"{len(rows)} rules, {npass} pass, {len(rows) - npass} fail")
+        npass = sum(1 for r in reports if r.passed)
+        print(f"{len(reports)} rules, {npass} pass, {len(reports) - npass} fail")
     return 0 if ok else 1
 
 

@@ -315,6 +315,19 @@ def eval_numeric(fam: CoeffFamily, a, b, z, digits: int) -> BigApprox:
     return BigApprox.from_partial_sum(sum_terms(fam, a, b, z, N), tail, prec_for_digits(digits))
 
 
+def against_pi(value: BigApprox, target, digits: int) -> tuple:
+    """(lhs, rhs, passed, digits_agreed) for the claim value = target/pi.
+
+    lhs is value times the pi oracle and rhs the exact radical target, both
+    at digits + 5 working digits; passed asks them to agree to `digits`.  A
+    target off the exact table comes as a BigApprox already at that precision.
+    """
+    prec = prec_for_digits(digits + 5)
+    lhs = value.rescale(prec) * pi_oracle(digits + 5).rescale(prec)
+    rhs = rad_to_bigapprox(target, prec) if isinstance(target, RadConst) else target
+    return lhs, rhs, lhs.agrees_to(rhs, digits), lhs.digits_agreed(rhs)
+
+
 def sum_terms(fam: CoeffFamily, a, b, z, N: int):
     """sum_{n<N} (a+bn) t_n z^n as one exact rational (N >= 1), from
     split_range over integer_recurrence with a, b scaled to integers by L."""

@@ -12,6 +12,7 @@ from .fps import Series, fps_mul, fps_pow_rational
 from .hyper import (
     CheckReport,
     Report,
+    against_pi,
     coeff,
     domb,
     eval_numeric,
@@ -19,26 +20,10 @@ from .hyper import (
     hyper_series,
     square2F1,
 )
-from .numerics import (
-    BigApprox,
-    RadConst,
-    format_rational,
-    pi_oracle,
-    prec_for_digits,
-    rad_to_bigapprox,
-    sin_pi,
-)
+from .numerics import BigApprox, RadConst, format_rational, prec_for_digits, sin_pi
 from .poly import RatFun, _deflate, poly, poly_eval, poly_sub
 from .transforms import Prefactor, get_rule, verify_rule_formal
 from .translate import SeriesSpec, solve_for_x, theta_transport, translate
-
-
-def _against_pi(value: BigApprox, target: RadConst, digits: int) -> tuple:
-    """Compare value*pi with an exact radical target; (passed, digits_agreed)."""
-    prec = prec_for_digits(digits + 5)
-    lhs = value.rescale(prec) * pi_oracle(digits + 5).rescale(prec)
-    rhs = rad_to_bigapprox(target, prec)
-    return lhs.agrees_to(rhs, digits), lhs.digits_agreed(rhs)
 
 
 # ============================================================
@@ -62,17 +47,11 @@ def starting_formula(s, digits: int = 30) -> StartReport:
     if not (0 < s < 1):
         raise ValueError("starting_formula requires 0 < s < 1")
     work = digits + 5
-    prec = prec_for_digits(work)
-    lhs = eval_numeric(square2F1(s), 0, 1, QQ(1, 2), work).rescale(prec)
-    lhs = lhs * pi_oracle(work).rescale(prec)
     sin_val = sin_pi(s, work)
     exact = isinstance(sin_val, RadConst)
-    if exact:
-        rhs = rad_to_bigapprox(sin_val.scale(2), prec)
-    else:
-        rhs = sin_val.rescale(prec).mul_int(2)
-    agreed = lhs.digits_agreed(rhs)
-    passed = lhs.agrees_to(rhs, digits)
+    target = sin_val.scale(2) if exact else sin_val.rescale(prec_for_digits(work)).mul_int(2)
+    value = eval_numeric(square2F1(s), 0, 1, QQ(1, 2), work)
+    lhs, rhs, passed, agreed = against_pi(value, target, digits)
     return StartReport(
         s=s,
         exact_target=exact,
@@ -315,17 +294,17 @@ class LimitReport(Report):
 
 
 def limit_eval(spec: LimitSpec, tolerance: float) -> LimitReport:
-    """Decide a limit spec by limit_exact: it passes when the derived constant
-    is spec.target and its float lies within `tolerance` of the target's."""
+    """Decide a limit spec by limit_exact: it passes exactly when the derived
+    constant is spec.target.  `tolerance` must be positive; it is only echoed
+    in the report, since equal constants have equal floats value and target."""
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     proof = limit_exact(spec)
-    value, target = _over_pi(proof.value), _over_pi(spec.target)
     return LimitReport(
-        value=value,
-        target_value=target,
+        value=_over_pi(proof.value),
+        target_value=_over_pi(spec.target),
         tolerance=tolerance,
-        passed=proof.value == spec.target and abs(value - target) <= tolerance,
+        passed=proof.value == spec.target,
         detail=proof.detail(),
         exact=proof.value,
     )
@@ -447,14 +426,12 @@ def sun_2_11(digits: int = 30) -> Sun211Report:
         QQ(_conv_q(k, A), 64**k) == coeff(fam, k) for k in range(41)
     )
     value = eval_numeric(fam, 1, 4, QQ(-1, 3), digits + 5)
-    passed, agreed = _against_pi(value, target, digits)
+    *_, passed, agreed = against_pi(value, target, digits)
 
     head = sum(
         (4 * k + 1) * coeff(fam, k) * QQ(-1, 3) ** k for k in range(10)
     )
-    prec = prec_for_digits(40)
-    lhs = BigApprox.from_rational(head, prec) * pi_oracle(40).rescale(prec)
-    head_digits = lhs.digits_agreed(rad_to_bigapprox(target, prec))
+    *_, head_digits = against_pi(BigApprox.from_rational(head, prec_for_digits(40)), target, 35)
 
     source = SeriesSpec(hyper3F2(QQ(1, 2)), QQ(1, 4), QQ(1), QQ(6), RadConst(QQ(4)))
     cert = translate(source, "sun-s2-64x", x0=QQ(-1, 192))
@@ -528,7 +505,7 @@ def sun_4_14(digits: int = 30) -> Sun414Report:
 
     target = RadConst(QQ(3, 2), 6)
     value = _g44_value(-1, 3, digits)
-    passed, agreed = _against_pi(value, target, digits)
+    *_, passed, agreed = against_pi(value, target, digits)
 
     # theta-transport from the (6n+1)(1/2)^n = 3 sqrt(3)/pi entry along the
     # Clausen-Euler relation  F(x) = (1-x)^(1/2) G(x)  between the 1/3 stream
@@ -543,8 +520,7 @@ def sun_4_14(digits: int = 30) -> Sun414Report:
     a_w, c_w = u0 * b_w / u1, (src.c / beta).scale(b_w / u1)
     transport_ok = (a_w, c_w) == (QQ(-1), target)
 
-    bad = _g44_value(1, 3, 12)
-    _, bad_agreed = _against_pi(bad, target, 12)
+    *_, bad_agreed = against_pi(_g44_value(1, 3, 12), target, 12)
     return Sun414Report(
         passed=passed and formal_ok and transport_ok,
         digits_agreed=agreed,
@@ -578,7 +554,7 @@ def rogers_domb_check(digits: int = 30) -> RogersReport:
     """
     target = RadConst(QQ(25, 3), 3)
     value = eval_numeric(domb(), 3, 16, QQ(1, 100), digits + 5)
-    passed, agreed = _against_pi(value, target, digits)
+    *_, passed, agreed = against_pi(value, target, digits)
 
     rule = get_rule("domb-rogers")
     formal_ok = verify_rule_formal(rule, order=40).passed

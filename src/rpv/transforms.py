@@ -19,6 +19,7 @@ with certified interval arithmetic; ``translate`` uses it as a gate.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction as QQ
@@ -42,6 +43,7 @@ from .fps import (
 from .hyper import (
     CheckReport,
     CoeffFamily,
+    Report,
     compare_series,
     converges,
     eval_numeric,
@@ -241,28 +243,16 @@ def _parse_rule(obj) -> TransformRule:
     return rule
 
 
-_rules_cache: dict | None = None
-
-
-def load_rules(path: str | None = None) -> dict:
-    """id -> TransformRule, from the bundled rules.json (or an explicit path)."""
-    global _rules_cache
-    if path is None and _rules_cache is not None:
-        return _rules_cache
-    if path is None:
-        text = resources.files("rpv").joinpath("data/rules.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    raw = json.loads(text)
+@functools.cache
+def load_rules() -> dict:
+    """id -> TransformRule, from the bundled rules.json; read once per process."""
+    raw = json.loads(resources.files("rpv").joinpath("data/rules.json").read_text())
     out: dict = {}
     for obj in raw["rules"]:
         rule = _parse_rule(obj)
         if rule.rid in out:
             raise ParseError(f"duplicate rule id {rule.rid}")
         out[rule.rid] = rule
-    if path is None:
-        _rules_cache = out
     return out
 
 
@@ -328,6 +318,21 @@ def verify_rule_numeric(rule: TransformRule, x0, digits: int = 20) -> CheckRepor
         f"sides agree to {agreed} digits at x = {format_rational(x0)}",
         digits_agreed=agreed,
     )
+
+
+@dataclass(frozen=True)
+class RuleReport(Report):
+    id: str
+    passed: bool
+    detail: str
+    caveat: str | None  # the rule's note when it carries the warning tag
+
+
+def rule_report(rid: str, order: int) -> RuleReport:
+    """The formal check of one shipped rule at `order`, as `rules verify` shows it."""
+    rule = get_rule(rid)
+    rep = verify_rule_formal(rule, order)
+    return RuleReport(rid, rep.passed, rep.detail, rule.note if "warning" in rule.tags else None)
 
 
 def verify_all_rules(order: int = 64) -> list[tuple[str, CheckReport]]:

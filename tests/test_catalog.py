@@ -70,19 +70,19 @@ def test_edge_status_consistency(entries):
             assert e.certificates, e.id
 
 
-def test_verify_convergent(entries, pi55):
-    rep = verify_entry(get_entry(entries, "s12-04"), 30, pi=pi55, entries=entries)
+def test_verify_convergent(entries):
+    rep = verify_entry(get_entry(entries, "s12-04"), 30, entries=entries)
     assert rep.passed and rep.digits_matched >= 30
     assert abs(float(rep.computed) - float(rep.target)) < 1e-12
     blob = rep.to_json()
     assert set(blob) == {"id", "status", "computed", "target", "digitsMatched", "pass", "detail"}
 
 
-def test_corrected_entries_never_silent(entries, pi55):
+def test_corrected_entries_never_silent(entries):
     for eid in ["s14-11", "s14-12", "s13-08", "s16-03", "s16-08", "s16-11"]:
         e = get_entry(entries, eid)
         assert e.discrepancy_note, eid
-        rep = verify_entry(e, 20, pi=pi55, entries=entries)
+        rep = verify_entry(e, 20, entries=entries)
         assert rep.passed, eid
         assert "discrepancy" in rep.detail or e.status == "proved-translation"
 

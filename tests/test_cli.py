@@ -307,16 +307,27 @@ def _catalog_with_field(tmp_path, entry_id, key, json_text):
      ("c_m", "2.5", "field 'c_m' must be a JSON integer"),
      ("c_t", "true", "field 'c_t' must be a JSON integer"),
      ("paper_line", '"12"', "field 'paper_line' must be a JSON integer"),
-     ("s", '"1000/3"', "family parameter must lie in (0, 1)")],
+     ("s", '"1000/3"', "family parameter must lie in (0, 1)"),
+     ("z", "5", "field 'z' must be a JSON string"),
+     ("a", "[1]", "field 'a' must be a JSON string"),
+     ("c_r", "2", "field 'c_r' must be a JSON string"),
+     ("tags", '[5, "x"]', "field 'tags' must be an array of strings"),
+     ("tags", '[["R"]]', "field 'tags' must be an array of strings"),
+     ("tags", '"R"', "field 'tags' must be a JSON array"),
+     ("discrepancy_note", "7", "field 'discrepancy_note' must be a JSON string"),
+     ("id", "5", "field 'id' must be a JSON string")],
 )
 def test_bad_catalog_field_exits_2(monkeypatch, tmp_path, key, json_text, message):
     # 1e400 used to end in an internal OverflowError (exit 3) and 2.5 was
     # read as 2; at s = 1000/3 the envelope bound fails, so the sum was wrong
-    # while its certified error bound was tiny
+    # while its certified error bound was tiny.  A number or an array where a
+    # rational string belongs, and tags that are not strings, also ended in
+    # exit 3; "R" was read as ["R"], and a numeric id named another entry
     monkeypatch.setenv("RPV_CATALOG", _catalog_with_field(tmp_path, "s12-04", key, json_text))
     code, _, err = run_cli(["verify", "--digits", "5", "--jobs", "1"])
     assert code == 2, err
-    assert f"catalog entry s12-04: {message}" in err
+    shown = json_text if key == "id" else "s12-04"
+    assert f"catalog entry {shown}: {message}" in err
 
 
 def test_sun_checks_run():
@@ -561,3 +572,25 @@ def test_proved_translation_without_transport_exits_1(monkeypatch, tmp_path):
     code, _, err = run_cli(["verify", "--id", "s14-02", "--digits", "15"])
     assert code == 1
     assert "s14-02: proved-translation entry carries no transport certificate" in err
+
+
+def test_stored_source_mismatch_exits_1(monkeypatch, tmp_path):
+    # the certificate still replays, but its source is s12-04's series
+    def mutate(wrappers):
+        wrappers[0]["source_id"] = "s12-03"
+
+    monkeypatch.setenv("RPV_CATALOG", _catalog_with_wrappers(tmp_path, "s14-02", mutate))
+    code, out, err = run_cli(["verify", "--id", "s14-02", "--digits", "15"])
+    assert code == 1, err
+    assert "stored source does not match catalog entry s12-03" in out
+
+
+def test_pool_workers_read_the_overriding_catalog(monkeypatch, tmp_path):
+    # spawned workers load the catalog themselves, from RPV_CATALOG: s12-04's
+    # sum misses the wrong constant, and the three entries transported from
+    # s12-04 no longer match their stored source
+    monkeypatch.setenv("RPV_CATALOG", _catalog_with_field(tmp_path, "s12-04", "c_r", '"17"'))
+    code, out, err = run_cli(["verify", "--digits", "15", "--jobs", "2"])
+    assert code == 1, err
+    failed = {line.split()[0] for line in out.splitlines() if " FAIL " in line}
+    assert failed == {"s12-04", "s14-02", "s16-01", "s16-10"}

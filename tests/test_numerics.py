@@ -337,10 +337,8 @@ def test_pi_oracle_takes_no_large_isqrt(monkeypatch):
 
 
 def test_oracle_error_reaches_json_unchanged(monkeypatch):
-    import rpv.catalog
     import rpv.hyper
     import rpv.numerics
-    import rpv.special
     from rpv.cli import main
 
     def run(argv):
@@ -354,7 +352,7 @@ def test_oracle_error_reaches_json_unchanged(monkeypatch):
         ["start", "--s", "1/5", "--digits", "30", "--json"],
     )
     now = [run(argv) for argv in argvs]
-    for mod in (rpv.catalog, rpv.hyper, rpv.numerics, rpv.special):
+    for mod in (rpv.hyper, rpv.numerics):
         monkeypatch.setattr(mod, "pi_oracle", _old_pi_oracle)
     assert [run(argv) for argv in argvs] == now
     assert [r["digitsMatched"] for r in now[0]["reports"]] == [57]
