@@ -141,23 +141,36 @@ def fps_mul(a: Series, b: Series) -> Series:
 def fps_compose(outer: Series, inner: Series) -> Series:
     """outer(inner(x)) at outer's order; inner must have zero constant term.
 
-    Horner in the inner series over outer's integer numerators, truncated by
-    degree: the partial sum after outer coefficient k is multiplied by inner
-    k more times, and inner vanishes at 0, so only its degrees 0..n-k can
-    reach the result.  Each step reduces its partial sum to canonical form.
+    Let v be the valuation of inner (its first nonzero degree).  inner^k
+    starts at degree v·k, so only outer coefficients k <= n // v reach the
+    result.  A monomial inner c·x^v moves outer coefficient k to index v·k,
+    times c^k.  Any other inner runs Horner over outer's integer numerators,
+    truncated by degree: the partial sum after outer coefficient k is
+    multiplied by inner k more times, so only its degrees 0..n-v·k can reach
+    the result.  Each step reduces its partial sum to canonical form.
     A shorter inner series counts as zero beyond its order.
     """
     if inner.nums[0]:
         raise NonzeroConstantTerm("fps_compose needs inner(0) = 0")
     n = outer.order
-    g, e = inner.nums[1:], inner.den
-    fs = outer.nums
-    acc, den = [fs[n]], 1
-    for k in range(n - 1, -1, -1):
-        # acc holds degrees 0..n-k-1; the product with inner fills 1..n-k
+    fs, g, e = outer.nums, inner.nums[: n + 1], inner.den
+    v = next((j for j, t in enumerate(g) if t), n + 1)
+    if v > n:
+        return _series([fs[0]] + [0] * n, outer.den)
+    top = n // v
+    if not any(g[v + 1 :]):
+        c = g[v]
+        out = [0] * (n + 1)
+        for k in range(top + 1):
+            out[v * k] = fs[k] * c**k * e ** (top - k)
+        return _series(out, e**top * outer.den)
+    h = g[v:]
+    acc, den = [fs[top]] + [0] * (n - v * top), 1
+    for k in range(top - 1, -1, -1):
+        # acc holds degrees 0..n-v(k+1); the product with inner fills v..n-vk
         den *= e
-        step = [fs[k] * den]
-        step += [sum(map(mul, g[:d], acc[d - 1 :: -1])) for d in range(1, n - k + 1)]
+        step = [fs[k] * den] + [0] * (v - 1)
+        step += [sum(map(mul, h[: d + 1], acc[d::-1])) for d in range(n - v * (k + 1) + 1)]
         c = gcd(den, *step)
         if c != 1:
             step = [t // c for t in step]

@@ -271,8 +271,13 @@ def rule_ids() -> list[str]:
 # verification
 # ============================================================
 
+@functools.lru_cache(maxsize=None)
 def _family_compose(fam: CoeffFamily, arg: Series, order: int) -> Series:
-    """sum_n t_n arg(x)^n to `order`; arg must vanish at 0."""
+    """sum_n t_n arg(x)^n to `order`; arg must vanish at 0.
+
+    Memoized per process: rules that share a (family, argument) pair, such
+    as class1-a and kummer-sq, compose it once per run.
+    """
     return fps_compose(family_series(fam, order), arg.truncate(order))
 
 
@@ -333,11 +338,6 @@ def rule_report(rid: str, order: int) -> RuleReport:
     rule = get_rule(rid)
     rep = verify_rule_formal(rule, order)
     return RuleReport(rid, rep.passed, rep.detail, rule.note if "warning" in rule.tags else None)
-
-
-def verify_all_rules(order: int = 64) -> list[tuple[str, CheckReport]]:
-    """Formally verify every bundled rule; deterministic id order."""
-    return [(rid, verify_rule_formal(get_rule(rid), order)) for rid in rule_ids()]
 
 
 # ============================================================

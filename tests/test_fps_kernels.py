@@ -5,8 +5,12 @@ reference_expand_ratfun are the implementations fps ran before a Series was
 one integer vector over one denominator: one Fraction per coefficient, and
 composition by untruncated Horner.  Every kernel must give the same
 coefficients on random rational series, and every result must be canonical
-(den > 0, gcd(den, *nums) == 1).  The truncation tests pin the Horner bound
-of fps_compose: a change to outer coefficient k must show first at index k.
+(den > 0, gcd(den, *nums) == 1).  The truncation tests pin the degree bound
+of fps_compose: when inner has valuation v, a change to outer coefficient
+k <= n // v must show first at index v·k, and a change to any higher outer
+coefficient must not show at all.  Monomial inners c·x^v, which fps_compose
+takes without Horner, get their own strategy, and one test pins the per-run
+memo of (family, argument) compositions in transforms.
 """
 
 from dataclasses import replace
@@ -31,8 +35,9 @@ from rpv.fps import (
     fps_sub,
     fps_theta,
 )
+from rpv.hyper import family_series
 from rpv.poly import RatFun, poly_add, poly_mul
-from rpv.transforms import get_rule, verify_rule_formal
+from rpv.transforms import _family_compose, get_rule, verify_rule_formal
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -122,6 +127,20 @@ def nilpotent(order=ORDER, valuation=st.integers(1, 4)):
     )
 
 
+def exact_valuation(valuation):
+    """x^v·(c + x·s(x)) with c != 0: valuation exactly v, order v..v+35."""
+    return st.tuples(valuation, RATIONAL.filter(bool), series(st.integers(0, 34))).map(
+        lambda t: Series([0] * t[0] + [t[1]] + list(t[2].coeffs))
+    )
+
+
+def monomial(valuation=st.integers(1, 6)):
+    """c·x^v with c != 0, padded with zeros to order v..v+34."""
+    return st.tuples(valuation, RATIONAL.filter(bool), st.integers(0, 34)).map(
+        lambda t: Series([0] * t[0] + [t[1]] + [0] * t[2])
+    )
+
+
 def unit(order=ORDER):
     return series(order).map(lambda s: Series((QQ(1),) + s.coeffs[1:]))
 
@@ -180,6 +199,13 @@ def test_compose_inner_valuation_at_least_two(outer, inner):
     assert_same(fps_compose(outer, inner), reference_compose(outer, inner))
 
 
+@settings(max_examples=60, deadline=None)
+@given(series(st.integers(0, 30)), monomial())
+def test_compose_monomial_inner(outer, inner):
+    # the inner order runs from 1 to 40, shorter and longer than outer's
+    assert_same(fps_compose(outer, inner), reference_compose(outer, inner))
+
+
 @settings(max_examples=40, deadline=None)
 @given(RATIONAL, nilpotent())
 def test_compose_outer_order_zero(c, inner):
@@ -226,13 +252,32 @@ def _bump(s: Series, k: int) -> Series:
 
 
 @settings(max_examples=60, deadline=None)
-@given(series(st.integers(1, 30)), nilpotent(st.integers(1, 30), st.just(1)), RATIONAL.filter(bool))
-def test_outer_change_shows_first_at_its_index(outer, inner, g1):
-    inner = Series((QQ(0), g1) + inner.coeffs[2:])  # [x^1] != 0
+@given(series(st.integers(1, 30)), exact_valuation(st.integers(1, 6)))
+def test_outer_change_shows_first_at_its_index(outer, inner):
+    # with inner valuation v, outer coefficient k lands first at index v·k
+    v = next(j for j, c in enumerate(inner.coeffs) if c)
     n = outer.order
+    top = n // v
     base = fps_compose(outer, inner)
-    for k in (0, n - 1, n):
-        assert base.first_mismatch(fps_compose(_bump(outer, k), inner)) == k
+    for k in {0, max(top - 1, 0), top}:
+        assert base.first_mismatch(fps_compose(_bump(outer, k), inner)) == v * k
+    for k in {min(top + 1, n), n} - {top}:
+        assert fps_compose(_bump(outer, k), inner) == base
+
+
+def test_shared_family_argument_composes_once():
+    # class1-a and kummer-sq both compose hyper3F2:1/2 with x^2/(4x - 4)
+    order = 24
+    _family_compose.cache_clear()
+    verify_rule_formal(get_rule("class1-a"), order)
+    before = _family_compose.cache_info()
+    rule = get_rule("kummer-sq")
+    verify_rule_formal(rule, order)
+    after = _family_compose.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
+    arg = fps_expand_ratfun(rule.C.num, rule.C.den, order)
+    fresh = fps_compose(family_series(rule.rhs, order), arg)
+    assert_same(_family_compose(rule.rhs, arg, order), fresh)
 
 
 @pytest.mark.parametrize("rid", ["class4-a", "pfaff-sq", "class7", "domb-rogers"])

@@ -20,7 +20,7 @@ from rpv.transforms import (
     pfaff_twice_is_euler,
     reverse_rule,
     rule_ids,
-    verify_all_rules,
+    rule_report,
     verify_rule_formal,
     verify_rule_numeric,
 )
@@ -68,9 +68,9 @@ def test_kummer_sq_formal_order64():
 
 
 def test_verify_all_rules_helper():
-    results = verify_all_rules(16)
-    assert [rid for rid, _ in results] == rule_ids()
-    assert all(rep.passed for _, rep in results)
+    results = [rule_report(rid, 16) for rid in rule_ids()]
+    assert [r.id for r in results] == rule_ids()
+    assert all(r.passed for r in results)
 
 
 # ---------------------------------------------------------------- prefactors
