@@ -9,7 +9,7 @@ from functools import cache
 from pathlib import Path
 
 from .errors import InvariantViolation, ParseError
-from .hyper import Report, against_pi, domb, eval_numeric, family_envelope, parse_family
+from .hyper import Report, against_pi, domb, edge, eval_numeric, parse_family
 from .numerics import RadConst, capped_radicand, format_rational, parse_rational
 from .parallel import parallel_map
 from .translate import Certificate, SeriesSpec, _parsed, json_field, replay
@@ -35,8 +35,7 @@ class CatalogEntry:
     @property
     def edge(self):
         """|z| times the envelope radius; < 1 means provably summable."""
-        R, _ = family_envelope(self.spec.fam)
-        return abs(self.spec.z) * R
+        return edge(self.spec.fam, self.spec.z)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,9 @@ from .translate import Certificate, replay, translate
 
 
 def render_json(payload: dict) -> str:
-    """Canonical JSON rendering; parsing and re-rendering is byte-identical."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON rendering; parsing and re-rendering is byte-identical.
+    NaN and infinity, which strict JSON parsers reject, raise ValueError."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(payload: dict) -> None:

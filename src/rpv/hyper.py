@@ -32,12 +32,13 @@ cleared (integer_recurrence), is handed to numerics.split_range, the
 engine's one integer binary split (Haible & Papanikolaou, ANTS 1998; the
 pi oracle's arctangents run on it too) of the step on (w_n, w_{n-1}, S_n),
 w_n = t_n z^n: the partial sum comes out as one exact rational T/Q, without
-a Fraction per term.  It serves both sum_terms and the digit runs of
-binsplit.pi_digits.  A first-order family (hyper3F2) carries a scalar P,
-the others a 2x2 block.  N is the first power of two from 16 whose tail
-bound is below 10^-(digits+3); the bound comes from explicit coefficient
-envelopes |t_n| <= (n+1)^deg * R^n (proved in the comment above
-_ENVELOPES for 0 < s < 1, the range parse_family accepts), which give exact
+a Fraction per term.  It serves sum_terms, binsplit.pi_digits and, through
+clear_recurrence, gauss_half_check and special's Sun 4.14 sum.  A
+first-order family (hyper3F2) carries a scalar P, the others a 2x2 block.
+N is the first power of two from 16 whose tail bound is below
+10^-(digits+3); the bound comes from explicit coefficient envelopes
+|t_n| <= (n+1)^deg * R^n (proved in the comment above _ENVELOPES for
+0 < s < 1, the range parse_family accepts), which give exact
 geometric-type tails, and the returned BigApprox error bound includes it.
 Summation outside |z|*R < 1 raises DivergentInput — such entries are
 handled by certificates, never by summation.
@@ -170,16 +171,21 @@ def family_recurrence(fam: CoeffFamily) -> tuple[tuple, tuple]:
 
 
 def integer_recurrence(fam: CoeffFamily, z) -> tuple[tuple, tuple, tuple]:
+    """The family's recurrence for w_n = t_n z^n, cleared by clear_recurrence."""
+    return clear_recurrence(family_recurrence(fam), z)
+
+
+def clear_recurrence(rec, z) -> tuple[tuple, tuple, tuple]:
     """(A, B, D), integer cubics in n (low degree first) with
 
         D(n) w_{n+1} = A(n) w_n + B(n) w_{n-1}
 
-    for the terms w_n = t_n z^n: family_recurrence multiplied by d v^k, where
-    z = u/v, d clears the denominators of P and Q and k is the order (1 when
-    Q = (), and then B = ()).  So A = u v^(k-1) d P, B = u^2 d Q and
-    D = v^k d (n+1)^3.
+    for the terms w_n = t_n z^n of a stream whose rec = (P, Q) is in
+    family_recurrence's form, multiplied by d v^k: z = u/v, d clears the
+    denominators of P and Q and k is the order (1 when Q = (), and then
+    B = ()).  So A = u v^(k-1) d P, B = u^2 d Q and D = v^k d (n+1)^3.
     """
-    P, Q = family_recurrence(fam)
+    P, Q = rec
     z = QQ(z)
     u, v = z.numerator, z.denominator
     d = math.lcm(*(c.denominator for c in P + Q))
@@ -242,10 +248,15 @@ def family_envelope(fam: CoeffFamily) -> tuple[int, int]:
     return _ENVELOPES[fam.kind]
 
 
+def edge(fam: CoeffFamily, z):
+    """|z| times the envelope radius R; < 1 means provably summable."""
+    R, _ = family_envelope(fam)
+    return abs(QQ(z)) * R
+
+
 def converges(fam: CoeffFamily, z) -> bool:
     """Provable absolute convergence of sum (a+bn) t_n z^n via the envelope."""
-    R, _ = family_envelope(fam)
-    return abs(QQ(z)) * R < 1
+    return edge(fam, z) < 1
 
 
 # --- exact geometric-polynomial tails -----------------------------------
@@ -275,8 +286,8 @@ def _tail_power_sum(j: int, r, N: int):
 
 def tail_bound(fam: CoeffFamily, a, b, z, N: int):
     """Exact upper bound for | sum_{n>=N} (a+bn) t_n z^n |."""
-    R, deg = family_envelope(fam)
-    r = abs(QQ(z)) * R
+    _, deg = family_envelope(fam)
+    r = edge(fam, z)
     if r >= 1:
         raise DivergentInput(f"family {fam} at z = {z} is outside the envelope")
     if r == 0:
@@ -326,6 +337,16 @@ def against_pi(value: BigApprox, target, digits: int) -> tuple:
     lhs = value.rescale(prec) * pi_oracle(digits + 5).rescale(prec)
     rhs = rad_to_bigapprox(target, prec) if isinstance(target, RadConst) else target
     return lhs, rhs, lhs.agrees_to(rhs, digits), lhs.digits_agreed(rhs)
+
+
+def two_sin_pi(s, digits: int):
+    """2 sin(pi s) as an against_pi target at `digits`: an exact RadConst on
+    the sin table, else a BigApprox at prec_for_digits(digits + 5)."""
+    work = digits + 5
+    sin_val = sin_pi(s, work)
+    if isinstance(sin_val, RadConst):
+        return sin_val.scale(2)
+    return sin_val.rescale(prec_for_digits(work)).mul_int(2)
 
 
 def sum_terms(fam: CoeffFamily, a, b, z, N: int):
@@ -396,52 +417,32 @@ def clausen_check(a, b, order: int = 32) -> CheckReport:
     return compare_series(lhs, rhs, order)
 
 
-def _eval_2f1_half(alpha, beta, gamma, z, digits: int, prec: int) -> BigApprox:
-    """2F1(alpha,beta;gamma;z) for |z| <= 1/2 and parameters <= 2 in size.
-
-    Term ratio is bounded by (n+2)/(n+1)*|z| <= 3/4 for n >= 2, giving a
-    geometric tail; summation is exact until terms drop below target.
-    """
-    alpha, beta, gamma, z = QQ(alpha), QQ(beta), QQ(gamma), QQ(z)
-    if not (abs(z) * 2 <= 1 and max(abs(alpha), abs(beta)) <= 2):
-        raise ValueError("2F1 summation needs |z| <= 1/2 and |alpha|, |beta| <= 2")
-    term = QQ(1)
-    total = QQ(0)
-    n = 0
-    bar_num, bar_den = 1, 10 ** (digits + 8)
-    while n <= 4 or abs(term) * bar_den >= bar_num:
-        total += term
-        term = term * (alpha + n) * (beta + n) / ((gamma + n) * (n + 1)) * z
-        n += 1
-        if n > 100000:  # pragma: no cover - safety valve
-            raise DivergentInput("2F1 evaluation did not certify")
-    tail = abs(term) * 3  # geometric with ratio <= 3/4: |term|/(1-3/4) <= 4|term|
-    tail += abs(term)
-    return BigApprox.from_partial_sum(total, tail, prec)
-
-
 def gauss_half_check(s, digits: int = 30) -> CheckReport:
-    """s(1-s) F(s,1-s;1;1/2) F(s+1,2-s;2;1/2) == 2 sin(pi s)/pi to `digits`."""
+    """s(1-s) F(s,1-s;1;1/2) F(s+1,2-s;2;1/2) == 2 sin(pi s)/pi to `digits`.
+
+    With F = 2F1(s,1-s;1;x) = sum f_n x^n, the derivative identity
+    F' = s(1-s) F(s+1,2-s;2;.) holds term for term, so the left side is
+    F(1/2) F'(1/2) = 2 S_0 S_1, S_j = sum n^j f_n 2^-n.  Both sums run on
+    split_range over (n+1)^3 f_{n+1} = (n+s)(n+1-s)(n+1) f_n, with the
+    weights (1, 0) and (0, 1); f_n <= 1 bounds their tails t_0, t_1 after N
+    terms by 2^(1-N) and (N+1) 2^(1-N), so 2 S_0 S_1 is exact up to
+    2 (S_0 t_1 + S_1 t_0 + t_0 t_1).  It is checked by against_pi.
+    """
     s = QQ(s)
     if not (0 < s < 1):
         raise ValueError("gauss_half_check requires 0 < s < 1")
-    work = digits + 10
-    prec = prec_for_digits(work)
-    f1 = _eval_2f1_half(s, 1 - s, QQ(1), QQ(1, 2), work, prec)
-    f2 = _eval_2f1_half(s + 1, 2 - s, QQ(2), QQ(1, 2), work, prec)
-    lhs = (f1 * f2).mul_rational(s * (1 - s))
-    sv = sin_pi(s, digits=work)
-    if isinstance(sv, RadConst):
-        sb = rad_to_bigapprox(sv, prec)
-        exact = True
-    else:
-        sb = sv.rescale(prec)
-        exact = False
-    rhs = (sb + sb) / pi_oracle(work).rescale(prec)
-    agreed = lhs.digits_agreed(rhs)
-    ok = lhs.agrees_to(rhs, digits)
+    rec = clear_recurrence((_poly_prod(1, (s, 1), (1 - s, 1), (1, 1)), ()), QQ(1, 2))
+    N = 16
+    while (N + 1) * 10 ** (digits + 8) >= 2 ** (N - 1):
+        N += 16
+    n0, n1 = split_range(rec, 1, 0, 0, N, False), split_range(rec, 0, 1, 0, N, False)
+    S0, S1, t0, t1 = QQ(n0.T, n0.Q), QQ(n1.T, n1.Q), QQ(2, 2**N), QQ(2 * N + 2, 2**N)
+    tail = 2 * (S0 * t1 + S1 * t0 + t0 * t1)  # every f_n is positive
+    value = BigApprox.from_partial_sum(2 * S0 * S1, tail, prec_for_digits(digits + 5))
+    target = two_sin_pi(s, digits)
+    *_, ok, agreed = against_pi(value, target, digits)
     return CheckReport(
         ok,
-        f"lhs and rhs agree to {agreed} digits (exact sin branch: {exact})",
+        f"lhs and rhs agree to {agreed} digits (exact sin branch: {isinstance(target, RadConst)})",
         digits_agreed=agreed,
     )

@@ -380,9 +380,6 @@ class BigApprox:
         return BigApprox(self.man << sh, prec, (self.err << sh) + 1)
 
     # --- arithmetic -------------------------------------------------------
-    def __neg__(self) -> "BigApprox":
-        return BigApprox(-self.man, self.prec, self.err)
-
     def __add__(self, other: "BigApprox") -> "BigApprox":
         self._chk(other)
         return BigApprox(self.man + other.man, self.prec, self.err + other.err)

@@ -8,19 +8,23 @@ from fractions import Fraction as QQ
 from math import comb
 
 from .errors import GateRefused, InvariantViolation
-from .fps import Series, fps_mul, fps_pow_rational
+from .fps import fps_mul
 from .hyper import (
     CheckReport,
     Report,
     against_pi,
+    clear_recurrence,
     coeff,
     domb,
     eval_numeric,
+    family_series,
     hyper3F2,
     hyper_series,
     square2F1,
+    sum_terms,
+    two_sin_pi,
 )
-from .numerics import BigApprox, RadConst, format_rational, prec_for_digits, sin_pi
+from .numerics import BigApprox, RadConst, format_rational, prec_for_digits, sin_pi, split_range
 from .poly import RatFun, _deflate, poly, poly_eval, poly_sub
 from .transforms import Prefactor, get_rule, verify_rule_formal
 from .translate import SeriesSpec, solve_for_x, theta_transport, translate
@@ -46,11 +50,9 @@ def starting_formula(s, digits: int = 30) -> StartReport:
     s = QQ(s)
     if not (0 < s < 1):
         raise ValueError("starting_formula requires 0 < s < 1")
-    work = digits + 5
-    sin_val = sin_pi(s, work)
-    exact = isinstance(sin_val, RadConst)
-    target = sin_val.scale(2) if exact else sin_val.rescale(prec_for_digits(work)).mul_int(2)
-    value = eval_numeric(square2F1(s), 0, 1, QQ(1, 2), work)
+    target = two_sin_pi(s, digits)
+    exact = isinstance(target, RadConst)
+    value = eval_numeric(square2F1(s), 0, 1, QQ(1, 2), digits + 5)
     lhs, rhs, passed, agreed = against_pi(value, target, digits)
     return StartReport(
         s=s,
@@ -295,10 +297,11 @@ class LimitReport(Report):
 
 def limit_eval(spec: LimitSpec, tolerance: float) -> LimitReport:
     """Decide a limit spec by limit_exact: it passes exactly when the derived
-    constant is spec.target.  `tolerance` must be positive; it is only echoed
-    in the report, since equal constants have equal floats value and target."""
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
+    constant is spec.target.  `tolerance` must be positive and finite; it is
+    only echoed in the report, since equal constants have equal floats value
+    and target."""
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     proof = limit_exact(spec)
     return LimitReport(
         value=_over_pi(proof.value),
@@ -428,9 +431,7 @@ def sun_2_11(digits: int = 30) -> Sun211Report:
     value = eval_numeric(fam, 1, 4, QQ(-1, 3), digits + 5)
     *_, passed, agreed = against_pi(value, target, digits)
 
-    head = sum(
-        (4 * k + 1) * coeff(fam, k) * QQ(-1, 3) ** k for k in range(10)
-    )
+    head = sum_terms(fam, 1, 4, QQ(-1, 3), 10)
     *_, head_digits = against_pi(BigApprox.from_rational(head, prec_for_digits(40)), target, 35)
 
     source = SeriesSpec(hyper3F2(QQ(1, 2)), QQ(1, 4), QQ(1), QQ(6), RadConst(QQ(4)))
@@ -466,14 +467,16 @@ class Sun414Report(Report):
     detail: str
 
 
-def _g44_partial(a_w, b_w, n_terms: int) -> QQ:
-    """Exact sum_{n<N} (a_w + b_w n) c_n (1/2)^n for the Cauchy product of
-    2F1(1/6,1/3;1) and 2F1(2/3,5/6;1)."""
-    c = fps_mul(
-        hyper_series((QQ(1, 6), QQ(1, 3)), (QQ(1),), n_terms - 1),
-        hyper_series((QQ(2, 3), QQ(5, 6)), (QQ(1),), n_terms - 1),
-    ).coeffs
-    return sum((a_w + b_w * n) * c[n] * QQ(1, 2**n) for n in range(n_terms))
+def _g44_partial(a_w: int, b_w: int, n_terms: int) -> QQ:
+    """Exact sum_{n<N} (a_w + b_w n) c_n (1/2)^n for the Cauchy product c of
+    2F1(1/6,1/3;1) and 2F1(2/3,5/6;1), from split_range over its recurrence
+
+        (n+1)^3 c_{n+1} = (2n+1)(18n^2+18n+11)/18 c_n - n(36n^2-1)/36 c_{n-1}
+
+    (proved in tests/test_hyper.py), cleared at z = 1/2."""
+    rec = clear_recurrence(((QQ(11, 18), QQ(20, 9), 3, 2), (0, QQ(1, 36), 0, -1)), QQ(1, 2))
+    node = split_range(rec, a_w, b_w, 0, n_terms, False)
+    return QQ(node.T, node.Q)
 
 
 def _g44_value(a_w, b_w, digits: int) -> BigApprox:
@@ -483,39 +486,32 @@ def _g44_value(a_w, b_w, digits: int) -> BigApprox:
         n += 16
     tail = QQ((3 * n + 3) * (n + 1) * 3, 2**n)
     return BigApprox.from_partial_sum(
-        _g44_partial(QQ(a_w), QQ(b_w), n), tail, prec_for_digits(digits + 5)
+        _g44_partial(a_w, b_w, n), tail, prec_for_digits(digits + 5)
     )
 
 
 def sun_4_14(digits: int = 30) -> Sun414Report:
     """sum (3n-1) c_n 2^-n = 3 sqrt(6)/(2 pi) for the 4.14 Cauchy product."""
+    # the Clausen-Euler relation F(x) = (1-x)^(1/2) G(x) between the 1/3
+    # stream F and the 4.14 stream G, checked formally to order 40
+    pref = Prefactor(QQ(1), ((poly((1, -1)), QQ(1, 2)),))
     order = 40
     g44 = fps_mul(
         hyper_series((QQ(1, 6), QQ(1, 3)), (QQ(1),), order),
         hyper_series((QQ(2, 3), QQ(5, 6)), (QQ(1),), order),
     )
-    pref = fps_pow_rational(
-        Series([QQ(1), QQ(-1)] + [QQ(0)] * (order - 1)), QQ(-1, 2)
-    )
-    clausen = fps_mul(
-        pref,
-        Series([coeff(hyper3F2(QQ(1, 3)), n) for n in range(order + 1)]),
-    )
-    formal_ok = g44 == clausen
+    formal_ok = fps_mul(pref.series(order), g44) == family_series(hyper3F2(QQ(1, 3)), order)
 
     target = RadConst(QQ(3, 2), 6)
     value = _g44_value(-1, 3, digits)
     *_, passed, agreed = against_pi(value, target, digits)
 
     # theta-transport from the (6n+1)(1/2)^n = 3 sqrt(3)/pi entry along the
-    # Clausen-Euler relation  F(x) = (1-x)^(1/2) G(x)  between the 1/3 stream
-    # F and the 4.14 stream G (so A = C = x), then scaled to b_w = 3
+    # same relation (so A = C = x), then scaled to b_w = 3
     x0 = QQ(1, 2)
     src = SeriesSpec(hyper3F2(QQ(1, 3)), x0, QQ(1), QQ(6), RadConst(QQ(3), 3))
     x = RatFun((0, 1))
-    *_, beta, u0, u1 = theta_transport(
-        x, Prefactor(QQ(1), ((poly((1, -1)), QQ(1, 2)),)), x, x0, src.a, src.b
-    )
+    *_, beta, u0, u1 = theta_transport(x, pref, x, x0, src.a, src.b)
     b_w = QQ(3)
     a_w, c_w = u0 * b_w / u1, (src.c / beta).scale(b_w / u1)
     transport_ok = (a_w, c_w) == (QQ(-1), target)

@@ -132,27 +132,6 @@ class Prefactor:
     def inverse(self) -> "Prefactor":
         return Prefactor(1 / QQ(self.scale), tuple((p, -e) for p, e in self.factors))
 
-    def __str__(self) -> str:
-        bits = [] if self.scale == 1 else [format_rational(self.scale)]
-        for p, e in self.factors:
-            body = _poly_str(p)
-            bits.append(f"({body})^({format_rational(e)})" if e != 1 else f"({body})")
-        return " * ".join(bits) if bits else "1"
-
-
-def _poly_str(p: tuple) -> str:
-    terms = []
-    for k, c in enumerate(p):
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(format_rational(c))
-        elif k == 1:
-            terms.append(f"{format_rational(c)}*x" if c != 1 else "x")
-        else:
-            terms.append(f"{format_rational(c)}*x^{k}" if c != 1 else f"x^{k}")
-    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
 
 # ============================================================
 # rules
@@ -168,9 +147,6 @@ class TransformRule:
     C: RatFun
     note: str = ""
     tags: tuple = ()
-
-    def __str__(self) -> str:
-        return f"{self.rid}: {self.lhs} -> {self.rhs}"
 
 
 def reverse_rule(rule: TransformRule) -> TransformRule:

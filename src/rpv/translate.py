@@ -35,7 +35,7 @@ from fractions import Fraction as QQ
 from math import gcd, lcm
 
 from .errors import ArgumentMismatch, GateRefused, ParseError, SingularPoint
-from .hyper import CheckReport, CoeffFamily, family_envelope, parse_family
+from .hyper import CheckReport, CoeffFamily, edge, parse_family
 from .numerics import RadConst, format_rational, parse_radconst, parse_rational
 from .poly import poly_eval, poly_scale, poly_sub, rational_roots
 from .transforms import (
@@ -133,10 +133,6 @@ class SeriesSpec:
             "b": format_rational(self.b),
             "c": repr(self.c),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SeriesSpec":
-        return _spec_at(obj, "")
 
     def __str__(self) -> str:
         return (
@@ -305,14 +301,12 @@ _GATE_MARGIN = QQ(7, 8)  # require |arg| * R <= 7/8 at the gate point
 def _gate_point(rule: TransformRule, x0):
     """x0, else the first inner point x0 * shrink, at which both arguments
     keep the margin inside their envelopes; None when no point does."""
-    rl, _ = family_envelope(rule.lhs)
-    rr, _ = family_envelope(rule.rhs)
     for x in (x0, *(x0 * shrink for shrink in _GATE_SHRINKS)):
         try:
             zA, zC = rule.A(x), rule.C(x)
         except SingularPoint:
             continue
-        if abs(zA) * rl <= _GATE_MARGIN and abs(zC) * rr <= _GATE_MARGIN:
+        if edge(rule.lhs, zA) <= _GATE_MARGIN and edge(rule.rhs, zC) <= _GATE_MARGIN:
             return x
     return None
 
@@ -381,10 +375,8 @@ def translate(
 
     # --- gate ------------------------------------------------------------
     notes = []
-    rl, _ = family_envelope(oriented.lhs)
-    rr, _ = family_envelope(oriented.rhs)
-    edge_src = abs(QQ(source.z)) * rl
-    edge_tgt = abs(zC) * rr
+    edge_src = edge(oriented.lhs, source.z)
+    edge_tgt = edge(oriented.rhs, zC)
     if edge_src <= 1 and edge_tgt <= 1:
         # on a convergence boundary x0 itself always fails the margin, so
         # the same search lands on an inner point there

@@ -54,6 +54,13 @@ def test_json_output_round_trips(argv):
     assert render_json(json.loads(out)) == out
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_render_json_refuses_nan_and_infinity(value):
+    # strict JSON parsers reject NaN and Infinity; main maps this to exit 2
+    with pytest.raises(ValueError):
+        render_json({"tolerance": value})
+
+
 def test_verify_text_output():
     code, out, _ = run_cli(["verify", "--id", "s12-04", "--digits", "15"])
     assert code == 0
@@ -99,6 +106,9 @@ def test_usage_errors_exit_2():
         ["translate", "--source", "start-1/4", "--rule", "pfaff-sq"],  # no point
         ["limit", "--id", "nope", "--tolerance", "1e-8"],
         ["limit", "--id", "limit-8x1", "--tolerance", "-1"],
+        # float() reads both as infinity, which JSON cannot carry
+        ["limit", "--id", "limit-x1", "--tolerance", "inf", "--json"],
+        ["limit", "--id", "limit-x1", "--tolerance", "1e999", "--json"],
         ["sun", "--check", "bogus", "--digits", "10"],
         ["verify", "--digits", "10", "--jobs", "0"],
     ]

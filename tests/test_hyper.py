@@ -12,6 +12,7 @@ from rpv.hyper import (
     CheckReport,
     CoeffFamily,
     clausen_check,
+    clear_recurrence,
     coeff,
     compare_series,
     convCentral,
@@ -101,9 +102,9 @@ def test_stream_matches_definition(kind):
         assert [coeff(fam, m) for m in range(201)] == _definition(kind, s, 200)
 
 
-def _annihilates(fam, F0, k, gauss):
-    """theta^3 - x P(theta) - x^2 Q(theta+1) kills F0, with (P, Q) the
-    recurrence of `fam` and theta = x d/dx.
+def _annihilates(rec, F0, k, gauss):
+    """theta^3 - x P(theta) - x^2 Q(theta+1) kills F0, with rec = (P, Q) in
+    family_recurrence's form and theta = x d/dx.
 
     F0 is a polynomial in g, g' for the 2F1(a, b; 1; kx) solutions listed in
     `gauss` as (g, g', a, b); Gauss's equation
@@ -115,7 +116,7 @@ def _annihilates(fam, F0, k, gauss):
 
     x = sp.Symbol("x")
     h = 1 - k * x
-    P, Q = family_recurrence(fam)
+    P, Q = rec
 
     def rat(c):
         return sp.Rational(int(c.numerator), int(c.denominator))
@@ -151,11 +152,39 @@ def test_recurrences_annihilate_gauss_products():
     half = sp.Rational(1, 2)
     for s in ORACLE_S:
         q = sp.Rational(int(s.numerator), int(s.denominator))
-        assert _annihilates(square2F1(s), f**2, 1, [(f, df, q, 1 - q)])
+        assert _annihilates(family_recurrence(square2F1(s)), f**2, 1, [(f, df, q, 1 - q)])
         conv = [(u, du, half, q), (v, dv, half, 1 - q)]
-        assert _annihilates(convCentral(s), u * v, -4, conv)
+        assert _annihilates(family_recurrence(convCentral(s)), u * v, -4, conv)
     # negative control: the recurrence of another s does not annihilate
-    assert not _annihilates(convCentral(QQ(1, 3)), u * v, -4, conv)
+    assert not _annihilates(family_recurrence(convCentral(QQ(1, 3))), u * v, -4, conv)
+
+
+def test_sun_4_14_recurrence_annihilates_its_product():
+    """special._g44_partial sums c with u v = sum c_n x^n, u = 2F1(1/6, 1/3;
+    1; x), v = 2F1(2/3, 5/6; 1; x), by (n+1)^3 c_{n+1} =
+    (2n+1)(18n^2+18n+11)/18 c_n - n(36n^2-1)/36 c_{n-1}; cleared at z = 1/2
+    it is the integer recurrence below."""
+    sp = pytest.importorskip("sympy")
+    u, du, v, dv = sp.symbols("u du v dv")
+    gauss = [(u, du, sp.Rational(1, 6), sp.Rational(1, 3)), (v, dv, sp.Rational(2, 3), sp.Rational(5, 6))]
+    rec = ((QQ(11, 18), QQ(20, 9), 3, 2), (0, QQ(1, 36), 0, -1))
+    assert _annihilates(rec, u * v, 1, gauss)
+    assert clear_recurrence(rec, QQ(1, 2)) == (
+        (44, 160, 216, 144), (0, 1, 0, -36), (144, 432, 432, 144)
+    )
+    # negative control: a perturbed P does not annihilate
+    assert not _annihilates(((QQ(2, 3),) + rec[0][1:], rec[1]), u * v, 1, gauss)
+
+
+def test_2f1_recurrence_annihilates_gauss_function():
+    """gauss_half_check sums the coefficients f_n of 2F1(s, 1-s; 1; x) by
+    (n+1)^3 f_{n+1} = (n+s)(n+1-s)(n+1) f_n, first order (Q = ())."""
+    sp = pytest.importorskip("sympy")
+    f, df = sp.symbols("f df")
+    for s in ORACLE_S:
+        q = sp.Rational(int(s.numerator), int(s.denominator))
+        P = (s * (1 - s), 1 + s * (1 - s), 2, 1)
+        assert _annihilates((P, ()), f, 1, [(f, df, q, 1 - q)])
 
 
 def test_domb_recurrence_wz_certificate():

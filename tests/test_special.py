@@ -10,6 +10,7 @@ import pytest
 
 from rpv.errors import InvariantViolation
 from rpv import special
+from rpv.fps import fps_mul
 from rpv.hyper import gauss_half_check, hyper3F2, hyper_series, square2F1
 from rpv.numerics import RadConst
 from rpv.poly import RatFun
@@ -228,6 +229,27 @@ def test_sun_4_14():
     assert rep.transport_ok
     assert rep.negative_control_failed
     assert rep.digits_agreed >= 30
+
+
+def _g44_partial_sums(a_w, b_w, n_terms):
+    """sum_{n<N} (a_w + b_w n) c_n (1/2)^n for N = 1..n_terms, one Fraction
+    per term over the Cauchy product c of 2F1(1/6,1/3;1) and 2F1(2/3,5/6;1):
+    the reference special._g44_partial's split must equal."""
+    c = fps_mul(
+        hyper_series((QQ(1, 6), QQ(1, 3)), (QQ(1),), n_terms - 1),
+        hyper_series((QQ(2, 3), QQ(5, 6)), (QQ(1),), n_terms - 1),
+    ).coeffs
+    out, total = [], QQ(0)
+    for n in range(n_terms):
+        total += (a_w + b_w * n) * c[n] * QQ(1, 2**n)
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("a_w, b_w", [(-1, 3), (1, 3)])
+def test_g44_partial_equals_cauchy_product_sums(a_w, b_w):
+    for N, expected in enumerate(_g44_partial_sums(a_w, b_w, 300), start=1):
+        assert special._g44_partial(a_w, b_w, N) == expected, N
 
 
 def test_rogers_domb():

@@ -13,7 +13,6 @@ import pytest
 from rpv import hyper, transforms
 from rpv.catalog import DATA_DIR, load_catalog
 from rpv.hyper import (
-    _eval_2f1_half,
     convCentral,
     domb,
     eval_numeric,
@@ -129,12 +128,3 @@ def test_rule_gate_sums_match_reference(monkeypatch):
                 gated.add(rid)
     assert gated == set(rule_ids())
     assert len(seen) >= 4 * len(gated)
-
-
-def test_eval_2f1_half_refuses_outside_its_range():
-    prec = prec_for_digits(20)
-    with pytest.raises(ValueError, match="needs"):
-        _eval_2f1_half(QQ(1, 3), QQ(2, 3), 1, QQ(3, 4), 20, prec)
-    with pytest.raises(ValueError, match="needs"):
-        _eval_2f1_half(QQ(3), QQ(2, 3), 1, QQ(1, 2), 20, prec)
-    assert _eval_2f1_half(QQ(1, 3), QQ(2, 3), 1, QQ(-1, 2), 20, prec).err > 0
