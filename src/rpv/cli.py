@@ -41,10 +41,6 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(render_json(payload))
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 # lets "-1/8" pass as a flag value; argparse's default matcher only covers
 # plain negative numbers, so negative rationals would be read as option names
 _RATIONAL_MATCHER = re.compile(r"^-\d+(/\d+)?$")
@@ -87,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--digits", type=_int_at_least(1), required=True, help="decimal digits to match"
     )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=_int_at_least(1), default=_default_jobs())
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
 
     rules = sub.add_parser("rules", help="transformation-rule operations")
     rsub = rules.add_subparsers(dest="rules_command", required=True)
@@ -95,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_int_at_least(8), required=True, help="truncation order")
     p.add_argument("--rule", dest="rule_id", help="single rule id (default: all)")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=_int_at_least(1), default=_default_jobs())
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("translate", help="transport a catalog spec along a rule")
     p.add_argument("--source", required=True, help="catalog entry id")
@@ -121,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=_int_at_least(1),
-        default=_default_jobs(),
+        default=1,
         help="accepted for compatibility; has no effect (the verdict is exact)",
     )
 

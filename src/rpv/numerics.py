@@ -343,12 +343,14 @@ class BigApprox:
         return cls(man, prec, 0 if (n << prec) % d == 0 else 1)
 
     @classmethod
-    def from_partial_sum(cls, total, tail, prec: int) -> "BigApprox":
-        """An exact partial sum plus a certified bound on the omitted tail,
-        folded into err as floor(tail * 2^prec) + 1 ulps."""
-        out = cls.from_rational(total, prec)
+    def from_partial_sum(cls, num: int, den: int, tail, prec: int) -> "BigApprox":
+        """An exact partial sum num/den (den > 0, not necessarily reduced:
+        the floor and its exactness are those of the reduced fraction) plus a
+        certified bound on the omitted tail, folded into err as
+        floor(tail * 2^prec) + 1 ulps."""
+        man, rem = divmod(num << prec, den)
         tail = QQ(tail)
-        return cls(out.man, prec, out.err + (tail.numerator << prec) // tail.denominator + 1)
+        return cls(man, prec, (rem != 0) + (tail.numerator << prec) // tail.denominator + 1)
 
     @classmethod
     def sqrt_int(cls, m: int, prec: int) -> "BigApprox":
@@ -395,17 +397,6 @@ class BigApprox:
         cross = abs(self.man) * other.err + abs(other.man) * self.err
         cross += self.err * other.err
         err = -((-cross) >> P) + 2  # ceil(cross/2^P) + rounding + shift slop
-        return BigApprox(man, P, err)
-
-    def __truediv__(self, other: "BigApprox") -> "BigApprox":
-        self._chk(other)
-        P = self.prec
-        if abs(other.man) <= other.err:
-            raise ZeroDivisionError("BigApprox division by value overlapping 0")
-        y_lo = abs(other.man) - other.err
-        man = (self.man << P) // other.man
-        num = (self.err * abs(other.man) + other.err * abs(self.man)) << P
-        err = -(-num // (abs(other.man) * y_lo)) + 2
         return BigApprox(man, P, err)
 
     def mul_int(self, k: int) -> "BigApprox":

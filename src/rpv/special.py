@@ -13,10 +13,10 @@ from .hyper import (
     CheckReport,
     Report,
     against_pi,
-    clear_recurrence,
     coeff,
     domb,
     eval_numeric,
+    family_recurrence,
     family_series,
     hyper3F2,
     hyper_series,
@@ -24,7 +24,7 @@ from .hyper import (
     sum_terms,
     two_sin_pi,
 )
-from .numerics import BigApprox, RadConst, format_rational, prec_for_digits, sin_pi, split_range
+from .numerics import BigApprox, RadConst, format_rational, prec_for_digits, sin_pi
 from .poly import RatFun, _deflate, poly, poly_eval, poly_sub
 from .transforms import Prefactor, get_rule, verify_rule_formal
 from .translate import SeriesSpec, solve_for_x, theta_transport, translate
@@ -424,14 +424,11 @@ def sun_2_11(digits: int = 30) -> Sun211Report:
     """sum (4k+1) C(2k,k) S_k^{(2)}(4) (-192)^-k = sqrt(3)/pi, three ways."""
     fam = square2F1(QQ(1, 4))
     target = RadConst(QQ(1), 3)
-    _, A = _binomial_tables(40)
-    rewrite_ok = all(
-        QQ(_conv_q(k, A), 64**k) == coeff(fam, k) for k in range(41)
-    )
+    rewrite_ok = corollary_binomial_check(QQ(1, 4), 40).passed
     value = eval_numeric(fam, 1, 4, QQ(-1, 3), digits + 5)
     *_, passed, agreed = against_pi(value, target, digits)
 
-    head = sum_terms(fam, 1, 4, QQ(-1, 3), 10)
+    head = QQ(*sum_terms(family_recurrence(fam), 1, 4, QQ(-1, 3), 10))
     *_, head_digits = against_pi(BigApprox.from_rational(head, prec_for_digits(40)), target, 35)
 
     source = SeriesSpec(hyper3F2(QQ(1, 2)), QQ(1, 4), QQ(1), QQ(6), RadConst(QQ(4)))
@@ -467,16 +464,11 @@ class Sun414Report(Report):
     detail: str
 
 
-def _g44_partial(a_w: int, b_w: int, n_terms: int) -> QQ:
-    """Exact sum_{n<N} (a_w + b_w n) c_n (1/2)^n for the Cauchy product c of
-    2F1(1/6,1/3;1) and 2F1(2/3,5/6;1), from split_range over its recurrence
-
-        (n+1)^3 c_{n+1} = (2n+1)(18n^2+18n+11)/18 c_n - n(36n^2-1)/36 c_{n-1}
-
-    (proved in tests/test_hyper.py), cleared at z = 1/2."""
-    rec = clear_recurrence(((QQ(11, 18), QQ(20, 9), 3, 2), (0, QQ(1, 36), 0, -1)), QQ(1, 2))
-    node = split_range(rec, a_w, b_w, 0, n_terms, False)
-    return QQ(node.T, node.Q)
+# the recurrence of the Sun 4.14 stream, the Cauchy product c of
+# 2F1(1/6,1/3;1) and 2F1(2/3,5/6;1), in family_recurrence's form:
+#     (n+1)^3 c_{n+1} = (2n+1)(18n^2+18n+11)/18 c_n - n(36n^2-1)/36 c_{n-1}
+# (proved in tests/test_hyper.py)
+_G44_REC = ((QQ(11, 18), QQ(20, 9), 3, 2), (0, QQ(1, 36), 0, -1))
 
 
 def _g44_value(a_w, b_w, digits: int) -> BigApprox:
@@ -485,9 +477,8 @@ def _g44_value(a_w, b_w, digits: int) -> BigApprox:
     while QQ((3 * n + 3) * (n + 1) * 3, 2**n) * 10 ** (digits + 6) >= 1:
         n += 16
     tail = QQ((3 * n + 3) * (n + 1) * 3, 2**n)
-    return BigApprox.from_partial_sum(
-        _g44_partial(a_w, b_w, n), tail, prec_for_digits(digits + 5)
-    )
+    num, den = sum_terms(_G44_REC, a_w, b_w, QQ(1, 2), n)
+    return BigApprox.from_partial_sum(num, den, tail, prec_for_digits(digits + 5))
 
 
 def sun_4_14(digits: int = 30) -> Sun414Report:

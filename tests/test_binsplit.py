@@ -10,7 +10,7 @@ from rpv import binsplit, hyper, numerics
 from rpv.binsplit import digits_file_text, oracle_digits, pi_digits, terms_needed
 from rpv.catalog import load_catalog
 from rpv.errors import DivergentInput, InvariantViolation, NonExactConstant
-from rpv.hyper import coeff, integer_recurrence, sum_terms
+from rpv.hyper import coeff, family_recurrence, integer_recurrence, sum_terms
 from rpv.numerics import BigApprox, RadConst, split_range
 from rpv.translate import SeriesSpec
 from rpv.hyper import hyper3F2
@@ -154,7 +154,7 @@ def test_partial_sums_exact(entries, monkeypatch):
             for low, high in limits:
                 monkeypatch.setattr(numerics, "_GCD_MIN_BITS", low)
                 monkeypatch.setattr(numerics, "_GCD_MAX_BITS", high)
-                assert sum_terms(spec.fam, spec.a, spec.b, spec.z, target) == acc
+                assert QQ(*sum_terms(family_recurrence(spec.fam), spec.a, spec.b, spec.z, target)) == acc
 
 
 def test_terms_needed_covers_tolerance(entries):

@@ -128,11 +128,12 @@ def test_first_term_within_tail_bound(entries, pi55):
         if e.edge >= 1 or e.spec.fam.kind == "domb":
             continue
         s = e.spec
-        v = rad_to_bigapprox(s.c, prec) / pi
-        d = v - BigApprox.from_rational(s.a, prec)
+        # |a pi - c| within pi > 3.14159 times the tail bound puts the
+        # first term a within that bound of c/pi
+        d = BigApprox.from_rational(s.a, prec) * pi - rad_to_bigapprox(s.c, prec)
         tail = tail_bound(s.fam, s.a, s.b, s.z, 1)
         tail_ulps = (tail.numerator << prec) // tail.denominator + 1
-        assert abs(d.man) <= tail_ulps + d.err + 2, e.id
+        assert (abs(d.man) + d.err) * 100000 <= (tail_ulps + 2) * 314159, e.id
 
 
 def test_duplicate_id_rejected(tmp_path):

@@ -31,6 +31,7 @@ from rpv.hyper import (
     tail_bound,
     _tail_power_sum,
 )
+from rpv import special
 from rpv.numerics import pi_oracle, rad_to_bigapprox, sin_pi
 
 
@@ -160,14 +161,15 @@ def test_recurrences_annihilate_gauss_products():
 
 
 def test_sun_4_14_recurrence_annihilates_its_product():
-    """special._g44_partial sums c with u v = sum c_n x^n, u = 2F1(1/6, 1/3;
-    1; x), v = 2F1(2/3, 5/6; 1; x), by (n+1)^3 c_{n+1} =
-    (2n+1)(18n^2+18n+11)/18 c_n - n(36n^2-1)/36 c_{n-1}; cleared at z = 1/2
-    it is the integer recurrence below."""
+    """special._G44_REC, the recurrence Sun 4.14's sum runs on, is
+    (n+1)^3 c_{n+1} = (2n+1)(18n^2+18n+11)/18 c_n - n(36n^2-1)/36 c_{n-1}
+    for u v = sum c_n x^n, u = 2F1(1/6, 1/3; 1; x), v = 2F1(2/3, 5/6; 1; x);
+    cleared at z = 1/2 it is the integer recurrence below."""
     sp = pytest.importorskip("sympy")
     u, du, v, dv = sp.symbols("u du v dv")
     gauss = [(u, du, sp.Rational(1, 6), sp.Rational(1, 3)), (v, dv, sp.Rational(2, 3), sp.Rational(5, 6))]
-    rec = ((QQ(11, 18), QQ(20, 9), 3, 2), (0, QQ(1, 36), 0, -1))
+    rec = special._G44_REC
+    assert rec == ((QQ(11, 18), QQ(20, 9), 3, 2), (0, QQ(1, 36), 0, -1))
     assert _annihilates(rec, u * v, 1, gauss)
     assert clear_recurrence(rec, QQ(1, 2)) == (
         (44, 160, 216, 144), (0, 1, 0, -36), (144, 432, 432, 144)

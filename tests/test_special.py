@@ -11,7 +11,7 @@ import pytest
 from rpv.errors import InvariantViolation
 from rpv import special
 from rpv.fps import fps_mul
-from rpv.hyper import gauss_half_check, hyper3F2, hyper_series, square2F1
+from rpv.hyper import gauss_half_check, hyper3F2, hyper_series, square2F1, sum_terms
 from rpv.numerics import RadConst
 from rpv.poly import RatFun
 from rpv.special import (
@@ -234,7 +234,7 @@ def test_sun_4_14():
 def _g44_partial_sums(a_w, b_w, n_terms):
     """sum_{n<N} (a_w + b_w n) c_n (1/2)^n for N = 1..n_terms, one Fraction
     per term over the Cauchy product c of 2F1(1/6,1/3;1) and 2F1(2/3,5/6;1):
-    the reference special._g44_partial's split must equal."""
+    the reference that sum_terms over special._G44_REC must equal."""
     c = fps_mul(
         hyper_series((QQ(1, 6), QQ(1, 3)), (QQ(1),), n_terms - 1),
         hyper_series((QQ(2, 3), QQ(5, 6)), (QQ(1),), n_terms - 1),
@@ -249,7 +249,7 @@ def _g44_partial_sums(a_w, b_w, n_terms):
 @pytest.mark.parametrize("a_w, b_w", [(-1, 3), (1, 3)])
 def test_g44_partial_equals_cauchy_product_sums(a_w, b_w):
     for N, expected in enumerate(_g44_partial_sums(a_w, b_w, 300), start=1):
-        assert special._g44_partial(a_w, b_w, N) == expected, N
+        assert QQ(*sum_terms(special._G44_REC, a_w, b_w, QQ(1, 2), N)) == expected, N
 
 
 def test_rogers_domb():

@@ -6,6 +6,7 @@ for the catalog and the rule gates must come out as the same BigApprox.
 """
 
 import json
+import math
 from fractions import Fraction as QQ
 
 import pytest
@@ -16,6 +17,7 @@ from rpv.hyper import (
     convCentral,
     domb,
     eval_numeric,
+    family_recurrence,
     hyper3F2,
     integer_recurrence,
     square2F1,
@@ -45,8 +47,9 @@ def reference_eval(fam, a, b, z, digits):
     N = 16
     while tail_bound(fam, a, b, z, N) * 10 ** (digits + 3) >= 1:
         N *= 2
+    total = reference_sum(fam, a, b, z, N)
     return BigApprox.from_partial_sum(
-        reference_sum(fam, a, b, z, N), tail_bound(fam, a, b, z, N), prec_for_digits(digits)
+        total.numerator, total.denominator, tail_bound(fam, a, b, z, N), prec_for_digits(digits)
     )
 
 
@@ -70,12 +73,32 @@ def test_integer_recurrence_holds_for_terms():
 
 
 def test_sum_terms_small_cases():
-    fam = hyper3F2(QQ(1, 2))
-    assert sum_terms(fam, 1, 6, QQ(1, 4), 1) == 1
-    assert sum_terms(fam, 1, 6, QQ(1, 4), 2) == 1 + 7 * QQ(1, 8) * QQ(1, 4)
-    assert sum_terms(domb(), QQ(3), QQ(16), 0, 5) == 3
+    rec = family_recurrence(hyper3F2(QQ(1, 2)))
+    assert QQ(*sum_terms(rec, 1, 6, QQ(1, 4), 1)) == 1
+    assert QQ(*sum_terms(rec, 1, 6, QQ(1, 4), 2)) == 1 + 7 * QQ(1, 8) * QQ(1, 4)
+    assert QQ(*sum_terms(family_recurrence(domb()), QQ(3), QQ(16), 0, 5)) == 3
     with pytest.raises(ValueError):
-        sum_terms(fam, 1, 6, QQ(1, 4), 0)
+        sum_terms(rec, 1, 6, QQ(1, 4), 0)
+
+
+def test_sum_terms_gauss_recurrence_equals_fraction_sums():
+    """sum_terms over (n+1)^3 f_{n+1} = (n+s)(n+1-s)(n+1) f_n, the 2F1(s,
+    1-s; 1; x) recurrence of gauss_half_check, against one Fraction per term
+    with f_n = (s)_n (1-s)_n / n!^2, for N = 1..60."""
+    for s, a, b, z in [
+        (QQ(1, 3), 1, 0, QQ(1, 2)),
+        (QQ(1, 3), 0, 1, QQ(1, 2)),
+        (QQ(2, 7), QQ(-3, 5), QQ(7, 4), QQ(-5, 9)),
+    ]:
+        rec = ((s * (1 - s), 1 + s * (1 - s), 2, 1), ())
+        total = QQ(0)
+        for N in range(1, 61):
+            n = N - 1
+            f = hyper.pochhammer(s, n) * hyper.pochhammer(1 - s, n) / math.factorial(n) ** 2
+            total += (a + b * n) * f * z**n
+            num, den = sum_terms(rec, a, b, z, N)
+            assert den > 0
+            assert QQ(num, den) == total, (s, N)
 
 
 def test_eval_numeric_leaves_stream_cache_empty(monkeypatch):
