@@ -18,7 +18,7 @@ from fractions import Fraction as QQ
 from math import isqrt  # noqa: F401
 
 from .errors import DivergentInput, InvariantViolation, NonExactConstant
-from .hyper import converges, family_envelope, integer_recurrence, tail_bound
+from .hyper import clear_recurrence, converges, family_envelope, family_recurrence, tail_bound
 from .numerics import BigApprox, fixed_div, int_to_decimal_str, mul, newton_rsqrt, pi_oracle, split_range
 
 
@@ -66,7 +66,7 @@ def pi_digits(entry, digits: int) -> str:
         raise DivergentInput(f"entry at z = {spec.z} cannot be summed for digits")
     if spec.c.t:
         raise NonExactConstant("digit computation needs a real radical constant")
-    rec = integer_recurrence(spec.fam, spec.z)
+    rec = clear_recurrence(family_recurrence(spec.fam), spec.z)
     scale = math.lcm(spec.a.denominator, spec.b.denominator)
     a, b = (spec.a * scale).numerator, (spec.b * scale).numerator
     for extra in _RETRY_EXTRA:

@@ -46,10 +46,6 @@ class NonExactConstant(RpvError):
     """Digit computation needs an exact radical constant c."""
 
 
-class UnrepresentableConstant(RpvError):
-    """Exact point value falls outside Q(sqrt(m))·{1, i}."""
-
-
 class SingularPoint(RpvError):
     """Evaluation point hits a zero/pole of a rule component."""
 

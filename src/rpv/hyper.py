@@ -10,7 +10,7 @@ Four exact coefficient streams cover the whole catalog:
                  OEIS A002893 (not the Domb numbers A002895; the name is kept
                  because catalog data and certificates use it)
 
-Every stream is generated from one three-term recurrence (family_recurrence)
+Each family is one row of _FAMILIES: its three-term recurrence
 
     (n+1)^3 t_{n+1} = P(n) t_n + Q(n) t_{n-1},    t_0 = 1,
 
@@ -22,6 +22,9 @@ with
     convCentral(s)  -2(2n+1)(2n^2+2n+1)           -4n(2n-1+2s)(2n+1-2s)
     domb            2(2n+1)(10n^2+10n+3)          -36n(2n-1)(2n+1)
 
+and its envelope |t_n| <= (n+1)^deg * R^n, proved in the row's comment for
+0 < s < 1, the range parse_family accepts.  The recurrence generates the
+stream (family_recurrence) and the envelope bounds tails (family_envelope).
 The definitions above are the test oracle; tests/test_hyper.py also proves
 each recurrence (the differential operator theta^3 - x P(theta) - x^2 Q(theta+1)
 annihilates the generating function, and a WZ certificate for domb).
@@ -36,15 +39,13 @@ a Fraction per term.  sum_terms takes any recurrence in family_recurrence's
 form and returns that pair unreduced, and BigApprox.from_partial_sum floors
 it as given; every sum that becomes a BigApprox goes this way (eval_numeric,
 gauss_half_check and special's Sun 2.11 head and Sun 4.14 sum), while
-binsplit.pi_digits splits integer_recurrence directly.  A first-order
-recurrence (hyper3F2) carries a scalar P, the others a 2x2 block.
-N is the first power of two from 16 whose tail bound is below
-10^-(digits+3); the bound comes from explicit coefficient envelopes
-|t_n| <= (n+1)^deg * R^n (proved in the comment above _ENVELOPES for
-0 < s < 1, the range parse_family accepts), which give exact
-geometric-type tails, and the returned BigApprox error bound includes it.
-Summation outside |z|*R < 1 raises DivergentInput — such entries are
-handled by certificates, never by summation.
+binsplit.pi_digits splits clear_recurrence(family_recurrence(fam), z)
+itself.  A first-order recurrence (hyper3F2) carries a scalar P, the others
+a 2x2 block.  N is the first power of two from 16 whose exact
+geometric-type tail bound from the envelope is below 10^-(digits+3), and
+the returned BigApprox error bound includes it.  Summation outside
+|z|*R < 1 raises DivergentInput — such entries are handled by
+certificates, never by summation.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def hyper_series(upper, lower, order: int) -> Series:
 
 @dataclass(frozen=True)
 class CoeffFamily:
-    kind: str  # hyper3F2 | square2F1 | convCentral | domb
+    kind: str  # a key of _FAMILIES
     s: object  # rational; QQ(0) for domb (unused)
 
     def __str__(self) -> str:
@@ -128,7 +129,7 @@ def parse_family(text: str) -> CoeffFamily:
     if s == "domb":
         return domb()
     kind, _, stext = s.partition(":")
-    if kind not in ("hyper3F2", "square2F1", "convCentral") or not stext:
+    if kind not in _FAMILIES or kind == "domb" or not stext:
         raise ParseError(f"unknown coefficient family: {_show_literal(text)}")
     value = parse_rational(stext)
     if not 0 < value < 1:  # the envelope proofs need 0 <= s <= 1
@@ -136,10 +137,12 @@ def parse_family(text: str) -> CoeffFamily:
     return CoeffFamily(kind, value)
 
 
-# --- cached streams ----------------------------------------------------
-
-_stream_cache: dict = {}
-
+# --- one row per family: kind -> (R, deg, recurrence) --------------------
+#
+# recurrence(s) is (P, Q) as in family_recurrence, and each row's comment
+# proves |t_n| <= (n+1)^deg * R^n.  The first three proofs need 0 <= s <= 1
+# (for |(q)_k| <= k!, q = s or 1 - s too), so parse_family refuses every
+# other s.
 
 def _poly_prod(c, *factors) -> tuple:
     """c times the product of the given polynomials in n (low degree first)."""
@@ -149,33 +152,42 @@ def _poly_prod(c, *factors) -> tuple:
     return out
 
 
+_FAMILIES = {
+    # (n+s)(n+1-s) = n^2+n+s(1-s) <= (n+1/2)^2, so the term ratio
+    # (n+1/2)(n+s)(n+1-s)/(n+1)^3 < 1 and t_n <= 1.
+    "hyper3F2": (1, 0, lambda s: (_poly_prod(QQ(1, 2), (1, 2), (s, 1), (1 - s, 1)), ())),
+    # each 2F1(s,1-s;1) coefficient is <= 1 by the same bound, so the Cauchy
+    # square is <= n+1.
+    "square2F1": (1, 1, lambda s: (
+        _poly_prod(1, (1, 2), (2 * s * (1 - s), 1, 1)),
+        _poly_prod(-1, (0, 1), (2 * s - 1, 1), (1 - 2 * s, 1)),
+    )),
+    # |(-4)^k (1/2)_k (q)_k / k!^2| <= 4^k, so |t_n| <= (n+1) 4^n.
+    "convCentral": (4, 1, lambda s: (
+        _poly_prod(-2, (1, 2), (1, 2, 2)),
+        _poly_prod(-4, (0, 1), (2 * s - 1, 2), (1 - 2 * s, 2)),
+    )),
+    # sum_k C(2k,k) C(n,k)^2 <= 4^n sum C(n,k)^2 = 4^n C(2n,n) <= 16^n, times
+    # C(2n,n) <= 4^n gives 64^n.
+    "domb": (64, 0, lambda s: (
+        _poly_prod(2, (1, 2), (3, 10, 10)),
+        _poly_prod(-36, (0, 1), (-1, 2), (1, 2)),
+    )),
+}
+
+
 @functools.cache
 def family_recurrence(fam: CoeffFamily) -> tuple[tuple, tuple]:
     """(P, Q) with (n+1)^3 t_{n+1} = P(n) t_n + Q(n) t_{n-1} and t_0 = 1.
 
     Cached: each sum and stream extension asks for it, and building it in
     rationals costs more than a short split."""
-    s = fam.s
-    if fam.kind == "hyper3F2":
-        return _poly_prod(QQ(1, 2), (1, 2), (s, 1), (1 - s, 1)), ()
-    if fam.kind == "square2F1":
-        return (
-            _poly_prod(1, (1, 2), (2 * s * (1 - s), 1, 1)),
-            _poly_prod(-1, (0, 1), (2 * s - 1, 1), (1 - 2 * s, 1)),
-        )
-    if fam.kind == "convCentral":
-        return (
-            _poly_prod(-2, (1, 2), (1, 2, 2)),
-            _poly_prod(-4, (0, 1), (2 * s - 1, 2), (1 - 2 * s, 2)),
-        )
-    if fam.kind == "domb":
-        return _poly_prod(2, (1, 2), (3, 10, 10)), _poly_prod(-36, (0, 1), (-1, 2), (1, 2))
-    raise ParseError(f"unknown family kind {fam.kind!r}")
+    return _FAMILIES[fam.kind][2](fam.s)
 
 
-def integer_recurrence(fam: CoeffFamily, z) -> tuple[tuple, tuple, tuple]:
-    """The family's recurrence for w_n = t_n z^n, cleared by clear_recurrence."""
-    return clear_recurrence(family_recurrence(fam), z)
+def family_envelope(fam: CoeffFamily) -> tuple[int, int]:
+    """(R, deg) with |t_n| <= (n+1)^deg * R^n."""
+    return _FAMILIES[fam.kind][:2]
 
 
 def clear_recurrence(rec, z) -> tuple[tuple, tuple, tuple]:
@@ -198,6 +210,9 @@ def clear_recurrence(rec, z) -> tuple[tuple, tuple, tuple]:
         tuple(u * u * (c * d).numerator for c in Q),
         tuple(v**k * d * c for c in (1, 3, 3, 1)),
     )
+
+
+_stream_cache: dict = {}
 
 
 def _extend(fam: CoeffFamily, n: int) -> list:
@@ -226,31 +241,6 @@ def family_series(fam: CoeffFamily, order: int) -> Series:
     return Series(_extend(fam, order)[: order + 1])
 
 
-# --- envelopes: |t_n| <= (n+1)^deg * R^n --------------------------------
-#
-# hyper3F2:    (n+s)(n+1-s) = n^2+n+s(1-s) <= (n+1/2)^2, so the term ratio
-#              (n+1/2)(n+s)(n+1-s)/(n+1)^3 < 1 and t_n <= 1.
-# square2F1:   each 2F1(s,1-s;1) coefficient is <= 1 by the same bound, so
-#              the Cauchy square is <= n+1.
-# convCentral: |(-4)^k (1/2)_k (q)_k / k!^2| <= 4^k, so |t_n| <= (n+1) 4^n.
-# domb:        sum_k C(2k,k) C(n,k)^2 <= 4^n sum C(n,k)^2 = 4^n C(2n,n)
-#              <= 16^n, times C(2n,n) <= 4^n gives 64^n.
-# The first three need 0 <= s <= 1 (for |(q)_k| <= k!, q = s or 1 - s too),
-# so parse_family refuses every other s.
-
-_ENVELOPES = {
-    "hyper3F2": (1, 0),
-    "square2F1": (1, 1),
-    "convCentral": (4, 1),
-    "domb": (64, 0),
-}
-
-
-def family_envelope(fam: CoeffFamily) -> tuple[int, int]:
-    """(R, deg) with |t_n| <= (n+1)^deg * R^n."""
-    return _ENVELOPES[fam.kind]
-
-
 def edge(fam: CoeffFamily, z):
     """|z| times the envelope radius R; < 1 means provably summable."""
     R, _ = family_envelope(fam)
@@ -265,7 +255,7 @@ def converges(fam: CoeffFamily, z) -> bool:
 # --- exact geometric-polynomial tails -----------------------------------
 
 def _tail_power_sum(j: int, r, N: int):
-    """r^-N sum_{n>=N} n^j r^n for j in {0,1,2,3}, exactly (0 < r < 1).
+    """r^-N sum_{n>=N} n^j r^n for j in {0,1,2}, exactly (0 < r < 1).
 
     The factor r^N is left out: its denominator is as long as the digit run,
     so tail_bound multiplies by it once, after the small brackets are summed.
@@ -277,14 +267,7 @@ def _tail_power_sum(j: int, r, N: int):
         return QQ(N) / one + r / one**2
     if j == 2:
         return QQ(N * N) / one + (2 * N + 1) * r / one**2 + 2 * r**2 / one**3
-    if j == 3:
-        return (
-            QQ(N**3) / one
-            + (3 * N * N + 3 * N + 1) * r / one**2
-            + (6 * N + 6) * r**2 / one**3
-            + 6 * r**3 / one**4
-        )
-    raise ValueError("tail power sums implemented for j <= 3")
+    raise ValueError("tail power sums implemented for j <= 2")
 
 
 def tail_bound(fam: CoeffFamily, a, b, z, N: int):
@@ -297,10 +280,7 @@ def tail_bound(fam: CoeffFamily, a, b, z, N: int):
         return QQ(0)
     aa, bb = abs(QQ(a)), abs(QQ(b))
     # (aa + bb n)(n+1)^deg expanded into powers of n
-    if deg == 0:
-        weights = {0: aa, 1: bb}
-    else:  # deg == 1
-        weights = {0: aa, 1: aa + bb, 2: bb}
+    weights = {0: aa, 1: bb} if deg == 0 else {0: aa, 1: aa + bb, 2: bb}
     return r**N * sum(w * _tail_power_sum(j, r, N) for j, w in weights.items() if w)
 
 

@@ -82,13 +82,25 @@ def format_rational(q) -> str:
 # square-free decomposition
 # ============================================================
 
+# trial division stops at this prime bound; a cofactor below
+# _DECIDED_COFACTOR then has at most two prime factors, both above it
+_TRIAL_LIMIT = 10**6
+_DECIDED_COFACTOR = 10**18
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """n = s^2 * m with m square-free; returns (s, m).  Requires n >= 1."""
+    """n = s^2 * m with m square-free; returns (s, m).  Requires n >= 1.
+
+    Trial division runs to _TRIAL_LIMIT.  What is left is a prime, a product
+    of two distinct primes or a prime squared when it is below
+    _DECIDED_COFACTOR, and isqrt tells the last from the other two; a larger
+    cofactor raises ParseError instead of stalling the engine.
+    """
     if n < 1:
         raise ValueError("squarefree_decompose needs n >= 1")
     s, m = 1, 1
     p = 2
-    while p * p <= n:
+    while p * p <= n and p <= _TRIAL_LIMIT:
         if n % p == 0:
             cnt = 0
             while n % p == 0:
@@ -98,8 +110,13 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if cnt % 2:
                 m *= p
         p += 1 if p == 2 else 2
-    m *= n  # leftover prime
-    return s, m
+    if p * p <= n:  # every prime factor of n exceeds _TRIAL_LIMIT
+        if n >= _DECIDED_COFACTOR:
+            raise ParseError(f"radicand cofactor {_show_literal(str(n))} is too large to factor")
+        root = isqrt(n)
+        if root * root == n:
+            return s * root, m
+    return s, m * n
 
 
 # ============================================================
@@ -228,8 +245,9 @@ class RadConst:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # the last bit needs no further square
+                base = base * base
         return out
 
     # --- text form --------------------------------------------------------
@@ -268,8 +286,8 @@ def rad_pow_half(v, p: int) -> RadConst:
     return RadConst.sqrt_rational(v).pow_int(p)
 
 
-# trial division up to 10^6 settles any radicand up to 10^12; larger ones
-# from outside input could stall squarefree_decompose for hours
+# trial division up to 10^6 settles any radicand up to 10^12; a parsed
+# radicand above it is refused outright
 MAX_RADICAND = 10**12
 
 

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction as QQ
 from importlib import resources
 
-from .errors import (
-    DivergentInput,
-    ParseError,
-    SingularPoint,
-    UnrepresentableConstant,
-)
+from .errors import DivergentInput, ParseError, SingularPoint
 from .fps import (
     Series,
     fps_compose,
@@ -95,26 +90,18 @@ class Prefactor:
         return out
 
     def series(self, order: int) -> Series:
-        """Power series about 0 to `order` (coefficients exact rationals)."""
+        """Power series about 0 to `order` (coefficients exact rationals).
+
+        Each factor is expanded as (p/p(0))^e, and the constant they leave
+        out is the value at 0, which is 1."""
         out = Series.one(order)
-        const = QQ(self.scale)
         for p, e in self.factors:
             p0 = poly_eval(p, QQ(0))
             if p0 == 0:
                 raise SingularPoint("prefactor base vanishes at x = 0")
-            if e.denominator == 1:
-                const *= p0 ** e.numerator
-            else:
-                c = rad_pow_half(p0, e.numerator)
-                if not c.is_rational():
-                    raise UnrepresentableConstant(
-                        f"{format_rational(p0)}^({e}) is not rational; "
-                        "normalize the prefactor base"
-                    )
-                const *= c.r
             unit = fps_scale(Series(list(p[: order + 1]) + [0] * (order + 1 - len(p))), 1 / p0)
             out = fps_mul(out, fps_pow_rational(unit, e))
-        return fps_scale(out, const)
+        return out
 
     def dlog_at(self, x0):
         """Exact logarithmic derivative B'(x0)/B(x0), a rational."""

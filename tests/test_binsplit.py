@@ -10,7 +10,7 @@ from rpv import binsplit, hyper, numerics
 from rpv.binsplit import digits_file_text, oracle_digits, pi_digits, terms_needed
 from rpv.catalog import load_catalog
 from rpv.errors import DivergentInput, InvariantViolation, NonExactConstant
-from rpv.hyper import coeff, family_recurrence, integer_recurrence, sum_terms
+from rpv.hyper import clear_recurrence, coeff, family_recurrence, sum_terms
 from rpv.numerics import BigApprox, RadConst, split_range
 from rpv.translate import SeriesSpec
 from rpv.hyper import hyper3F2
@@ -33,7 +33,7 @@ def _terms(spec, hi):
 
 def test_term_ratio_half_example(entries):
     spec = entries["s12-04"].spec
-    assert integer_recurrence(spec.fam, spec.z) == (
+    assert clear_recurrence(family_recurrence(spec.fam), spec.z) == (
         (1, 6, 12, 8), (), (512, 1536, 1536, 512)
     )
 
@@ -42,7 +42,7 @@ def test_term_ratio_matches_coefficients(entries):
     rng = random.Random(20260825)
     for eid in ["s12-04", "s14-08", "s13-07", "s16-07", "s14-01"]:
         spec = entries[eid].spec
-        p_poly, b_poly, q_poly = integer_recurrence(spec.fam, spec.z)
+        p_poly, b_poly, q_poly = clear_recurrence(family_recurrence(spec.fam), spec.z)
         assert b_poly == ()
         for _ in range(6):
             n = rng.randrange(0, 40)
@@ -68,7 +68,7 @@ def test_merge_matches_leaf_sums(entries, monkeypatch):
         monkeypatch.setattr(numerics, "_GCD_MIN_BITS", low)
         for eid in SPLIT_IDS:
             spec = entries[eid].spec
-            rec = integer_recurrence(spec.fam, spec.z)
+            rec = clear_recurrence(family_recurrence(spec.fam), spec.z)
             w = _terms(spec, 101)
             for lo, hi in RANGES:
                 node = split_range(rec, 1, 8, lo, hi)
@@ -95,7 +95,7 @@ def test_serial_leaves_keep_the_one_term_ratios(entries, monkeypatch):
     # gcd, give the ratios of the one-term leaves and their merges
     cases = [(lo, hi) for lo in (0, 5, 33) for hi in (lo + 1, lo + 16, lo + 17, lo + 70)]
     for eid in SPLIT_IDS:
-        rec = integer_recurrence(entries[eid].spec.fam, entries[eid].spec.z)
+        rec = clear_recurrence(family_recurrence(entries[eid].spec.fam), entries[eid].spec.z)
         for with_p in (True, False):
             leaves = [split_range(rec, 1, 8, lo, hi, with_p) for lo, hi in cases]
             with monkeypatch.context() as mp:
@@ -110,7 +110,7 @@ def test_merge_cancels_common_factors(entries):
     # against P; for domb-16n3 the gcd with the 2x2 block does the same
     for eid, n in [("s14-08", 2000), ("domb-16n3", 4096)]:
         spec = entries[eid].spec
-        rec = integer_recurrence(spec.fam, spec.z)
+        rec = clear_recurrence(family_recurrence(spec.fam), spec.z)
         node = split_range(rec, 1, 8, 0, n, False)
         unreduced = math.prod(sum(c * k**i for i, c in enumerate(rec[2])) for k in range(n))
         assert 2 * node.Q.bit_length() <= unreduced.bit_length(), eid
@@ -121,7 +121,7 @@ def test_split_without_right_spine_p_keeps_q_and_t(entries):
     cases += [(eid, n) for eid in SPLIT_IDS[1:] for n in (1, 2, 37, 300)]
     for eid, n in cases:
         spec = entries[eid].spec
-        rec = integer_recurrence(spec.fam, spec.z)
+        rec = clear_recurrence(family_recurrence(spec.fam), spec.z)
         a, b = int(spec.a * 24), int(spec.b * 24)
         full = split_range(rec, a, b, 0, n)
         lean = split_range(rec, a, b, 0, n, False)
@@ -129,7 +129,7 @@ def test_split_without_right_spine_p_keeps_q_and_t(entries):
         assert lean.P is None and full.P is not None
     for eid in SPLIT_IDS:
         spec = entries[eid].spec
-        rec = integer_recurrence(spec.fam, spec.z)
+        rec = clear_recurrence(family_recurrence(spec.fam), spec.z)
         for lo, hi in RANGES:
             full, lean = split_range(rec, 1, 8, lo, hi), split_range(rec, 1, 8, lo, hi, False)
             assert (lean.Q, lean.T, lean.U) == (full.Q, full.T, full.U)

@@ -499,6 +499,25 @@ def _shipped_certificate():
 
 
 @pytest.mark.parametrize(
+    "z, code", [("1/1000000007", 1), ("1/999999999989", 1), ("1/1000000000000000003", 2)]
+)
+def test_replay_at_large_prime_point_ends_quickly(tmp_path, z, code):
+    # the prefactor (1-x)^(-1/2) at x0 = 1/P has the radicand (P-1) P, whose
+    # factoring once trial-divided for hours; a subprocess with a timeout
+    # fails a regression instead of holding the suite
+    cert, argv = _shipped_certificate()
+    stored = tmp_path / "cert.json"
+    stored.write_text(json.dumps(dict(cert, x0=z, source=dict(cert["source"], z=z))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rpv.cli", *argv, str(stored)],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert "too large to factor" in proc.stderr and len(proc.stderr) < 200
+
+
+@pytest.mark.parametrize(
     "mutate, field",
     [
         (lambda c: [], "schema"),

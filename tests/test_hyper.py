@@ -259,8 +259,11 @@ def test_envelope_is_sound_sampled():
 
 
 def test_tail_power_sum_against_brute_force():
+    # every envelope has deg <= 1, so tail_bound asks for j <= 2 only
     r = QQ(2, 5)
-    for j in (0, 1, 2, 3):
+    with pytest.raises(ValueError):
+        _tail_power_sum(3, r, 0)
+    for j in (0, 1, 2):
         for N in (0, 3, 7):
             brute = sum(QQ(n) ** j * r**n for n in range(N, N + 200))
             bound = r**N * _tail_power_sum(j, r, N)

@@ -87,6 +87,20 @@ def test_squarefree_decompose():
     assert s * s * m == 255 * 255 * 17 and m == 17
 
 
+def test_squarefree_decompose_bounds_trial_division():
+    # trial division stops at 10^6; a cofactor below 10^18 is a prime, two
+    # distinct primes or a prime squared, and isqrt tells them apart
+    p, q = 1000003, 1000033
+    assert squarefree_decompose(12 * p * q) == (2, 3 * p * q)
+    assert squarefree_decompose(3 * p * p) == (p, 3)
+    assert squarefree_decompose(999999999989) == (1, 999999999989)
+    with pytest.raises(ParseError, match="too large to factor"):
+        squarefree_decompose(p * q * 1000037)
+    with pytest.raises(ParseError) as exc:
+        squarefree_decompose((10**18 + 3) ** 3)
+    assert "(55 characters)" in str(exc.value) and len(str(exc.value)) < 200
+
+
 def test_rad_mul_examples():
     # sqrt(2)*sqrt(2) = 2 ; i*i = -1 ; 3sqrt(2)*2sqrt(6) = 12sqrt(3)
     assert RadConst(1, 2) * RadConst(1, 2) == RadConst(2)

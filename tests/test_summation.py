@@ -14,12 +14,12 @@ import pytest
 from rpv import hyper, transforms
 from rpv.catalog import DATA_DIR, load_catalog
 from rpv.hyper import (
+    clear_recurrence,
     convCentral,
     domb,
     eval_numeric,
     family_recurrence,
     hyper3F2,
-    integer_recurrence,
     square2F1,
     sum_terms,
     tail_bound,
@@ -64,7 +64,7 @@ def test_integer_recurrence_holds_for_terms():
         (convCentral(QQ(1, 6)), QQ(-1, 5)),
         (domb(), QQ(1, 100)),
     ]:
-        A, B, D = integer_recurrence(fam, z)
+        A, B, D = clear_recurrence(family_recurrence(fam), z)
         assert all(isinstance(c, int) for c in A + B + D)
         w = [hyper.coeff(fam, n) * z**n for n in range(12)]
         for n in range(1, 11):

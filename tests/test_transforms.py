@@ -5,7 +5,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from rpv.errors import DivergentInput, ParseError, SingularPoint, UnrepresentableConstant
+from rpv.errors import DivergentInput, ParseError, SingularPoint
 from rpv.fps import Series, fps_mul, fps_pow_rational
 from rpv.hyper import converges, family_envelope
 from rpv.numerics import RadConst
@@ -92,9 +92,19 @@ def test_prefactor_series_normalizes_constant():
 
 
 def test_prefactor_irrational_constant_rejected():
-    pref = Prefactor(QQ(1), (((QQ(2), QQ(-1)), QQ(1, 2)),))  # sqrt(2-x)
-    with pytest.raises(UnrepresentableConstant):
-        pref.series(4)
+    # B = sqrt(2-x) is sqrt(2) at 0: the loader refuses it, so the series
+    # of every loaded prefactor starts at 1
+    with pytest.raises(ParseError, match="prefactor must equal 1 at x = 0"):
+        _parse_rule(
+            {
+                "id": "bad",
+                "lhs": "hyper3F2:1/2",
+                "rhs": "hyper3F2:1/2",
+                "A": {"num": [0, 1]},
+                "B": {"factors": [{"poly": [2, -1], "exp": "1/2"}]},
+                "C": {"num": [0, 1]},
+            }
+        )
 
 
 def test_prefactor_value_principal_branch():
