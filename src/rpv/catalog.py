@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InvariantViolation, ParseError
-from .hyper import Report, against_pi, domb, edge, eval_numeric, parse_family
+from .hyper import Report, against_pi, edge, eval_numeric, parse_family, takes_s
 from .numerics import RadConst, capped_radicand, format_rational, parse_rational
 from .parallel import parallel_map
 from .translate import Certificate, SeriesSpec, _parsed, json_field, replay
@@ -21,8 +21,7 @@ CERTIFICATE_KINDS = ("transport", "divergence")
 MIN_ENTRIES = 44
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     spec: SeriesSpec
     status: str
@@ -38,8 +37,8 @@ class CatalogEntry:
         return edge(self.spec.fam, self.spec.z)
 
 
-@dataclass(frozen=True)
-class VerifyReport(Report):
+class VerifyReport(NamedTuple):
+    to_json = Report.to_json
     id: str
     status: str
     computed: str
@@ -58,7 +57,7 @@ def _entry_from_json(rec: dict, certs: dict) -> CatalogEntry:
                 raise ParseError(f"field {key!r} must be a JSON integer")
         entry_id = json_field(rec, "id", str)
         family = json_field(rec, "family", str)
-        fam = domb() if family == "domb" else parse_family(f"{family}:{json_field(rec, 's', str)}")
+        fam = parse_family(f"{family}:{json_field(rec, 's', str)}" if takes_s(family) else family)
         z, a, b, c_r = (_parsed(rec, key, parse_rational) for key in ("z", "a", "b", "c_r"))
         spec = SeriesSpec(fam, z, a, b, RadConst(c_r, capped_radicand(rec["c_m"]), rec["c_t"]))
         tags = json_field(rec, "tags", list)
@@ -290,8 +289,7 @@ def verify_entry(entry: CatalogEntry, digits: int, entries: list) -> VerifyRepor
         report = _verify_numeric(entry, digits)
         if any(c["kind"] == "transport" for c in entry.certificates):
             cert_rep = _verify_certificates(entry, entries)
-            report = replace(
-                report,
+            report = report._replace(
                 passed=report.passed and cert_rep.passed,
                 detail=report.detail + "; " + cert_rep.detail,
             )

@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction as QQ
+from typing import NamedTuple
 
 from .errors import DivergentInput, ParseError
 from .fps import Series, fps_mul
@@ -97,14 +97,13 @@ def hyper_series(upper, lower, order: int) -> Series:
 # coefficient families
 # ============================================================
 
-@dataclass(frozen=True)
-class CoeffFamily:
+class CoeffFamily(NamedTuple):
     kind: str  # a key of _FAMILIES
-    s: object  # rational; QQ(0) for domb (unused)
+    s: object  # rational; QQ(0) for a family without s (unused)
 
     def __str__(self) -> str:
-        if self.kind == "domb":
-            return "domb"
+        if not takes_s(self.kind):
+            return self.kind
         return f"{self.kind}:{format_rational(self.s)}"
 
 
@@ -124,25 +123,30 @@ def domb() -> CoeffFamily:
     return CoeffFamily("domb", QQ(0))
 
 
+def takes_s(kind: str) -> bool:
+    """Whether family `kind` is written kind:s (false for an unknown kind)."""
+    return kind in _FAMILIES and _FAMILIES[kind][2]
+
+
 def parse_family(text: str) -> CoeffFamily:
-    s = text.strip()
-    if s == "domb":
-        return domb()
-    kind, _, stext = s.partition(":")
-    if kind not in _FAMILIES or kind == "domb" or not stext:
+    """Parse kind:s for a family that takes s, or the bare kind of one that does not."""
+    kind, colon, stext = text.strip().partition(":")
+    if kind not in _FAMILIES or (not stext if takes_s(kind) else colon):
         raise ParseError(f"unknown coefficient family: {_show_literal(text)}")
+    if not takes_s(kind):
+        return CoeffFamily(kind, QQ(0))
     value = parse_rational(stext)
     if not 0 < value < 1:  # the envelope proofs need 0 <= s <= 1
         raise ParseError(f"family parameter must lie in (0, 1): {_show_literal(text)}")
     return CoeffFamily(kind, value)
 
 
-# --- one row per family: kind -> (R, deg, recurrence) --------------------
+# --- one row per family: kind -> (R, deg, takes s, recurrence) -----------
 #
 # recurrence(s) is (P, Q) as in family_recurrence, and each row's comment
-# proves |t_n| <= (n+1)^deg * R^n.  The first three proofs need 0 <= s <= 1
+# proves |t_n| <= (n+1)^deg * R^n.  The proofs that use s need 0 <= s <= 1
 # (for |(q)_k| <= k!, q = s or 1 - s too), so parse_family refuses every
-# other s.
+# other s; a family that does not take s is written without it.
 
 def _poly_prod(c, *factors) -> tuple:
     """c times the product of the given polynomials in n (low degree first)."""
@@ -155,21 +159,21 @@ def _poly_prod(c, *factors) -> tuple:
 _FAMILIES = {
     # (n+s)(n+1-s) = n^2+n+s(1-s) <= (n+1/2)^2, so the term ratio
     # (n+1/2)(n+s)(n+1-s)/(n+1)^3 < 1 and t_n <= 1.
-    "hyper3F2": (1, 0, lambda s: (_poly_prod(QQ(1, 2), (1, 2), (s, 1), (1 - s, 1)), ())),
+    "hyper3F2": (1, 0, True, lambda s: (_poly_prod(QQ(1, 2), (1, 2), (s, 1), (1 - s, 1)), ())),
     # each 2F1(s,1-s;1) coefficient is <= 1 by the same bound, so the Cauchy
     # square is <= n+1.
-    "square2F1": (1, 1, lambda s: (
+    "square2F1": (1, 1, True, lambda s: (
         _poly_prod(1, (1, 2), (2 * s * (1 - s), 1, 1)),
         _poly_prod(-1, (0, 1), (2 * s - 1, 1), (1 - 2 * s, 1)),
     )),
     # |(-4)^k (1/2)_k (q)_k / k!^2| <= 4^k, so |t_n| <= (n+1) 4^n.
-    "convCentral": (4, 1, lambda s: (
+    "convCentral": (4, 1, True, lambda s: (
         _poly_prod(-2, (1, 2), (1, 2, 2)),
         _poly_prod(-4, (0, 1), (2 * s - 1, 2), (1 - 2 * s, 2)),
     )),
     # sum_k C(2k,k) C(n,k)^2 <= 4^n sum C(n,k)^2 = 4^n C(2n,n) <= 16^n, times
     # C(2n,n) <= 4^n gives 64^n.
-    "domb": (64, 0, lambda s: (
+    "domb": (64, 0, False, lambda s: (
         _poly_prod(2, (1, 2), (3, 10, 10)),
         _poly_prod(-36, (0, 1), (-1, 2), (1, 2)),
     )),
@@ -182,7 +186,7 @@ def family_recurrence(fam: CoeffFamily) -> tuple[tuple, tuple]:
 
     Cached: each sum and stream extension asks for it, and building it in
     rationals costs more than a short split."""
-    return _FAMILIES[fam.kind][2](fam.s)
+    return _FAMILIES[fam.kind][3](fam.s)
 
 
 def family_envelope(fam: CoeffFamily) -> tuple[int, int]:
@@ -351,32 +355,31 @@ def sum_terms(rec, a, b, z, N: int) -> tuple[int, int]:
 # ============================================================
 
 class Report:
-    """Base of the reports the CLI emits as canonical JSON.
+    """The one to_json of the reports the CLI emits as canonical JSON.
 
-    to_json derives each key from a dataclass field: `passed` becomes "pass"
-    and snake_case becomes camelCase, unless the field's metadata names the
-    key ({"key": name}) or leaves the field out ({"key": None}).  Rationals
-    are rendered by format_rational and RadConsts by repr.
+    A report is a NamedTuple whose body binds `to_json = Report.to_json`,
+    since a NamedTuple cannot subclass Report too.  to_json walks the
+    record's _fields in order and derives each key from the field name:
+    `passed` becomes "pass" and snake_case becomes camelCase, unless the
+    class's key map `_keys` (field name -> key) names it.  Rationals are
+    rendered by format_rational and RadConsts by repr.
     """
 
     def to_json(self) -> dict:
         out = {}
-        for f in fields(self):
-            head, *rest = ["pass"] if f.name == "passed" else f.name.split("_")
-            key = f.metadata.get("key", head + "".join(w.title() for w in rest))
-            if key is None:
-                continue
-            value = getattr(self, f.name)
+        keys = getattr(self, "_keys", {})
+        for name in self._fields:
+            head, *rest = ["pass"] if name == "passed" else name.split("_")
+            value = getattr(self, name)
             if isinstance(value, RadConst):
                 value = repr(value)
             elif isinstance(value, QQ):
                 value = format_rational(value)
-            out[key] = value
+            out[keys.get(name, head + "".join(w.title() for w in rest))] = value
         return out
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     passed: bool
     detail: str
     first_mismatch: int | None = None

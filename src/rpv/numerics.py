@@ -25,7 +25,6 @@ from __future__ import annotations
 import math as _math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction as QQ
 from functools import lru_cache
 from math import isqrt
@@ -123,11 +122,16 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 # RadConst: r * sqrt(m) * i^t
 # ============================================================
 
+# sets a slot of an immutable value class past its refusing __setattr__
+_set = object.__setattr__
+
+
 class RadConst:
     """Exact constant r*sqrt(m)*i^t, canonical form.
 
     Canonicalization: m square-free positive; r == 0 forces (m, t) = (1, 0).
-    Construction accepts any integer m >= 1 and extracts the square part.
+    Construction accepts any integer m >= 1 and extracts the square part;
+    the algebra builds by _canonical, which trusts m to be square-free.
     """
 
     __slots__ = ("r", "m", "t")
@@ -143,12 +147,24 @@ class RadConst:
         elif m != 1:
             s, m = squarefree_decompose(int(m))
             r = r * s
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "t", int(t))
+        _set(self, "r", r)
+        _set(self, "m", int(m))
+        _set(self, "t", int(t))
+
+    @classmethod
+    def _canonical(cls, r, m: int, t: int) -> "RadConst":
+        """r*sqrt(m)*i^t for a rational r and a square-free int m >= 1."""
+        out = object.__new__(cls)
+        _set(out, "r", r)
+        _set(out, "m", m if r else 1)
+        _set(out, "t", t if r else 0)
+        return out
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("RadConst is immutable")
+
+    def __reduce__(self):  # pickles without factoring m again
+        return RadConst._canonical, (self.r, self.m, self.t)
 
     # --- constructors -------------------------------------------------
     @classmethod
@@ -174,7 +190,7 @@ class RadConst:
             q, t = -q, 1
         p, d = q.numerator, q.denominator
         s, m = squarefree_decompose(p * d)
-        return cls(QQ(s, d), m, t)
+        return cls._canonical(QQ(s, d), m, t)
 
     # --- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -182,9 +198,6 @@ class RadConst:
 
     def is_real(self) -> bool:
         return self.t == 0
-
-    def is_rational(self) -> bool:
-        return self.m == 1 and self.t == 0
 
     def abs2(self):
         """|value|^2 as an exact rational (t plays no role)."""
@@ -194,10 +207,13 @@ class RadConst:
     def __mul__(self, other: "RadConst") -> "RadConst":
         if not isinstance(other, RadConst):
             return NotImplemented
-        r = self.r * other.r
+        # m1 m2 = g^2 (m1/g)(m2/g) with g = gcd(m1, m2), and for square-free
+        # m1, m2 the cofactor (m1/g)(m2/g) is square-free
+        g = _math.gcd(self.m, other.m)
+        r = self.r * other.r * g
         if self.t and other.t:  # i*i = -1
             r = -r
-        return RadConst(r, self.m * other.m, (self.t + other.t) % 2)
+        return RadConst._canonical(r, (self.m // g) * (other.m // g), (self.t + other.t) % 2)
 
     def __add__(self, other: "RadConst") -> "RadConst":
         if not isinstance(other, RadConst):
@@ -210,10 +226,10 @@ class RadConst:
             raise IncompatibleRadicals(
                 f"cannot add {self} and {other}: different radical parts"
             )
-        return RadConst(self.r + other.r, self.m, self.t)
+        return RadConst._canonical(self.r + other.r, self.m, self.t)
 
     def __neg__(self) -> "RadConst":
-        return RadConst(-self.r, self.m, self.t)
+        return RadConst._canonical(-self.r, self.m, self.t)
 
     def __sub__(self, other: "RadConst") -> "RadConst":
         return self + (-other)
@@ -226,7 +242,7 @@ class RadConst:
         r = 1 / (self.r * self.m)
         if self.t:
             r = -r
-        return RadConst(r, self.m, self.t)
+        return RadConst._canonical(r, self.m, self.t)
 
     def __truediv__(self, other: "RadConst") -> "RadConst":
         if not isinstance(other, RadConst):
@@ -235,7 +251,7 @@ class RadConst:
 
     def scale(self, q) -> "RadConst":
         """Multiply by an exact rational."""
-        return RadConst(self.r * QQ(q), self.m, self.t)
+        return RadConst._canonical(self.r * QQ(q), self.m, self.t)
 
     def pow_int(self, k: int) -> "RadConst":
         if k < 0:
@@ -341,13 +357,29 @@ def prec_for_digits(digits: int) -> int:
     return int((digits + 20) * 3.3219280948873626) + 8
 
 
-@dataclass(frozen=True)
 class BigApprox:
-    """value ~ man * 2^-prec, with |true - man*2^-prec| <= err * 2^-prec."""
+    """value ~ man * 2^-prec, with |true - man*2^-prec| <= err * 2^-prec.
 
-    man: int
-    prec: int
-    err: int  # ulps, >= 0
+    Not a tuple, which would take `x < y` and `3 * x` as tuple operations."""
+
+    __slots__ = ("man", "prec", "err")  # err in ulps, >= 0
+
+    def __init__(self, man: int, prec: int, err: int):
+        _set(self, "man", man)
+        _set(self, "prec", prec)
+        _set(self, "err", err)
+
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError("BigApprox is immutable")
+
+    def __repr__(self) -> str:
+        return f"BigApprox(man={self.man!r}, prec={self.prec!r}, err={self.err!r})"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BigApprox) and self.__reduce__() == other.__reduce__()
+
+    def __reduce__(self):  # pickles as the constructor call
+        return BigApprox, (self.man, self.prec, self.err)
 
     # --- constructors ---------------------------------------------------
     @classmethod

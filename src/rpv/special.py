@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction as QQ
 from math import comb
+from typing import NamedTuple
 
 from .errors import GateRefused, InvariantViolation
 from .fps import fps_mul
@@ -34,8 +34,8 @@ from .translate import SeriesSpec, solve_for_x, theta_transport, translate
 # starting formula
 # ============================================================
 
-@dataclass(frozen=True)
-class StartReport(Report):
+class StartReport(NamedTuple):
+    to_json = Report.to_json
     s: object  # QQ
     exact_target: bool  # sin(pi s) on the classical radical table?
     passed: bool
@@ -114,18 +114,18 @@ def corollary_binomial_check(s, n_max: int, base: int | None = None) -> CheckRep
 # limit formulas
 # ============================================================
 
-@dataclass(frozen=True)
 class LimitSpec:
-    """w(x) * sum n t_n A(x)^n -> target/pi as x -> x_star along `direction`."""
+    """w(x) * sum n t_n A(x)^n -> target/pi as x -> x_star along `direction`
+    ("left" or "right"), for a hyper3F2 family, RatFuns w and A, a rational
+    x_star and a RadConst target.  A __slots__ class, not a NamedTuple, so
+    that its constructor validates: every spec meets limit_exact's hypotheses."""
 
-    family: object  # CoeffFamily, hyper3F2 kind
-    weight: RatFun
-    argument: RatFun
-    x_star: object  # QQ
-    direction: str  # "left" | "right"
-    target: RadConst  # the limit is target / pi
+    __slots__ = ("family", "weight", "argument", "x_star", "direction", "target")
 
-    def __post_init__(self):
+    def __init__(self, family, weight: RatFun, argument: RatFun, x_star, direction, target):
+        values = (family, weight, argument, x_star, direction, target)
+        for name, value in zip(LimitSpec.__slots__, values):
+            object.__setattr__(self, name, value)
         if self.family.kind != "hyper3F2":
             raise InvariantViolation("limit specs run on the hyper3F2 stream")
         if self.direction not in ("left", "right"):
@@ -135,6 +135,9 @@ class LimitSpec:
         if self.weight(QQ(self.x_star)) != 0:
             raise InvariantViolation("weight must vanish at the approach point")
         limit_exact(self)  # the closed form's hypotheses, checked exactly
+
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError("LimitSpec is immutable")
 
 
 def _over_pi(c: RadConst) -> float:
@@ -157,8 +160,7 @@ def _leading_term(f: RatFun, x) -> tuple:
     return kn - kd, cn / cd
 
 
-@dataclass(frozen=True)
-class LimitProof:
+class LimitProof(NamedTuple):
     """pi * limit = sign * sin(pi s) * sqrt(L) with L = lim w^2 / (1 - A)."""
 
     value: RadConst  # pi * limit
@@ -221,70 +223,39 @@ def limit_exact(spec: LimitSpec) -> LimitProof:
     )
 
 
+def _start_limit(s, target: RadConst) -> LimitSpec:
+    """The starting formula's limit x -> 1/2 from the left, with the weight
+    w = (1-2x)/(1-x) and the argument A = 4x(1-x)."""
+    return LimitSpec(
+        hyper3F2(s), RatFun((1, -2), (1, -1)), RatFun((0, 4, -4)), QQ(1, 2), "left", target
+    )
+
+
 LIMIT_SPECS = {
-    "limit-start-1/2": LimitSpec(
-        hyper3F2(QQ(1, 2)),
-        RatFun((1, -2), (1, -1)),
-        RatFun((0, 4, -4)),
-        QQ(1, 2),
-        "left",
-        RadConst(QQ(2)),
-    ),
-    "limit-start-1/3": LimitSpec(
-        hyper3F2(QQ(1, 3)),
-        RatFun((1, -2), (1, -1)),
-        RatFun((0, 4, -4)),
-        QQ(1, 2),
-        "left",
-        RadConst(QQ(1), 3),
-    ),
-    "limit-start-1/4": LimitSpec(
-        hyper3F2(QQ(1, 4)),
-        RatFun((1, -2), (1, -1)),
-        RatFun((0, 4, -4)),
-        QQ(1, 2),
-        "left",
-        RadConst(QQ(1), 2),
-    ),
-    "limit-start-1/6": LimitSpec(
-        hyper3F2(QQ(1, 6)),
-        RatFun((1, -2), (1, -1)),
-        RatFun((0, 4, -4)),
-        QQ(1, 2),
-        "left",
-        RadConst(QQ(1)),
-    ),
+    "limit-start-1/2": _start_limit(QQ(1, 2), RadConst(2)),
+    "limit-start-1/3": _start_limit(QQ(1, 3), RadConst(1, 3)),
+    "limit-start-1/4": _start_limit(QQ(1, 4), RadConst(1, 2)),
+    "limit-start-1/6": _start_limit(QQ(1, 6), RadConst(1)),
     "limit-8x1": LimitSpec(
-        hyper3F2(QQ(1, 6)),
-        RatFun((1, 8)),
-        RatFun((0, 27), (-1, 12, -48, 64)),
-        QQ(-1, 8),
-        "right",
-        RadConst(QQ(1, 2), 3),
+        hyper3F2(QQ(1, 6)), RatFun((1, 8)), RatFun((0, 27), (-1, 12, -48, 64)),
+        QQ(-1, 8), "right", RadConst(QQ(1, 2), 3),
     ),
     "limit-x1": LimitSpec(
-        hyper3F2(QQ(1, 4)),
-        RatFun((1, 1)),
-        RatFun((0, -4), (1, -2, 1)),
-        QQ(-1),
-        "right",
-        RadConst(QQ(1), 2),
+        hyper3F2(QQ(1, 4)), RatFun((1, 1)), RatFun((0, -4), (1, -2, 1)),
+        QQ(-1), "right", RadConst(1, 2),
     ),
     "limit-8px": LimitSpec(
-        hyper3F2(QQ(1, 6)),
-        RatFun((8, 1)),
-        RatFun((0, 0, 27), (64, -48, 12, -1)),
-        QQ(-8),
-        "right",
-        RadConst(QQ(4), 3),
+        hyper3F2(QQ(1, 6)), RatFun((8, 1)), RatFun((0, 0, 27), (64, -48, 12, -1)),
+        QQ(-8), "right", RadConst(4, 3),
     ),
 }
 
 
-@dataclass(frozen=True)
-class LimitReport(Report):
+class LimitReport(NamedTuple):
+    to_json = Report.to_json
+    _keys = {"target_value": "target"}  # field name -> JSON key
     value: float
-    target_value: float = field(metadata={"key": "target"})
+    target_value: float
     tolerance: float
     passed: bool
     detail: str
@@ -369,8 +340,8 @@ def _printed_q(n: int, c: list) -> int:
     return c[n] * sum(c[k] * c[n - k] * 4 ** (n - k) for k in range(n + 1))
 
 
-@dataclass(frozen=True)
-class S2Report(Report):
+class S2Report(NamedTuple):
+    to_json = Report.to_json
     passed: bool
     checked: int
     first_mismatch: int | None
@@ -410,8 +381,8 @@ def sun_S2_identity(n_max: int) -> S2Report:
     )
 
 
-@dataclass(frozen=True)
-class Sun211Report(Report):
+class Sun211Report(NamedTuple):
+    to_json = Report.to_json
     passed: bool
     digits_agreed: int
     head_digits: int
@@ -454,8 +425,8 @@ def sun_2_11(digits: int = 30) -> Sun211Report:
     )
 
 
-@dataclass(frozen=True)
-class Sun414Report(Report):
+class Sun414Report(NamedTuple):
+    to_json = Report.to_json
     passed: bool
     digits_agreed: int
     formal_passed: bool
@@ -522,8 +493,8 @@ def sun_4_14(digits: int = 30) -> Sun414Report:
     )
 
 
-@dataclass(frozen=True)
-class RogersReport(Report):
+class RogersReport(NamedTuple):
+    to_json = Report.to_json
     passed: bool
     digits_agreed: int
     formal_passed: bool

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction as QQ
-from importlib import resources
+from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DivergentInput, ParseError, SingularPoint
 from .fps import (
@@ -59,8 +59,7 @@ from .poly import RatFun, poly, poly_derivative, poly_eval
 # prefactors: scale * prod p_i(x)^(e_i)
 # ============================================================
 
-@dataclass(frozen=True)
-class Prefactor:
+class Prefactor(NamedTuple):
     """scale * prod p_i(x)^(e_i), e_i rational with denominator 1 or 2.
 
     The constant value at x = 0 must be 1 (loader invariant), which pins the
@@ -124,8 +123,7 @@ class Prefactor:
 # rules
 # ============================================================
 
-@dataclass(frozen=True)
-class TransformRule:
+class TransformRule(NamedTuple):
     rid: str
     lhs: CoeffFamily
     rhs: CoeffFamily
@@ -209,7 +207,7 @@ def _parse_rule(obj) -> TransformRule:
 @functools.cache
 def load_rules() -> dict:
     """id -> TransformRule, from the bundled rules.json; read once per process."""
-    raw = json.loads(resources.files("rpv").joinpath("data/rules.json").read_text())
+    raw = json.loads((Path(__file__).resolve().parent / "data" / "rules.json").read_text())
     out: dict = {}
     for obj in raw["rules"]:
         rule = _parse_rule(obj)
@@ -288,8 +286,8 @@ def verify_rule_numeric(rule: TransformRule, x0, digits: int = 20) -> CheckRepor
     )
 
 
-@dataclass(frozen=True)
-class RuleReport(Report):
+class RuleReport(NamedTuple):
+    to_json = Report.to_json
     id: str
     passed: bool
     detail: str

@@ -30,9 +30,9 @@ series continued analytically to z, and say so in their notes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction as QQ
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import ArgumentMismatch, GateRefused, ParseError, SingularPoint
 from .hyper import CheckReport, CoeffFamily, edge, parse_family
@@ -84,8 +84,7 @@ def _parsed(obj, path: str, parse):
 # series specifications
 # ============================================================
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(NamedTuple):
     """sum (a + b n) t_n z^n = c / pi, all parts exact."""
 
     fam: CoeffFamily
@@ -156,8 +155,7 @@ def _spec_at(obj, prefix: str) -> SeriesSpec:
 # certificates
 # ============================================================
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     source: SeriesSpec
     rule_id: str
     orientation: str  # "forward" | "reversed"

@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction as QQ
 
 import pytest
@@ -250,7 +249,10 @@ def test_limit_ladder_flag_is_gone():
 
 
 def test_limit_wrong_target_exits_1(monkeypatch):
-    spec = replace(rpv.special.LIMIT_SPECS["limit-8x1"], target=RadConst(QQ(1, 2), 2))
+    old = rpv.special.LIMIT_SPECS["limit-8x1"]
+    spec = rpv.special.LimitSpec(
+        old.family, old.weight, old.argument, old.x_star, old.direction, RadConst(QQ(1, 2), 2)
+    )
     monkeypatch.setitem(rpv.special.LIMIT_SPECS, "limit-wrong", spec)
     code, out, _ = run_cli(["limit", "--id", "limit-wrong", "--tolerance", "1e-8"])
     assert code == 1

@@ -13,7 +13,6 @@ takes without Horner, get their own strategy, and one test pins the per-run
 memo of (family, argument) compositions in transforms.
 """
 
-from dataclasses import replace
 from fractions import Fraction as QQ
 from math import gcd, lcm
 
@@ -289,7 +288,7 @@ def test_mutated_rule_c_series_reports_its_index(rid, j):
     order = 24
     assert verify_rule_formal(rule, order).passed
     bump = poly_mul(rule.C.den, (QQ(0),) * j + (QQ(1, 3),))
-    mutated = replace(rule, C=RatFun(poly_add(rule.C.num, bump), rule.C.den))
+    mutated = rule._replace(C=RatFun(poly_add(rule.C.num, bump), rule.C.den))
     report = verify_rule_formal(mutated, order)
     assert not report.passed
     assert report.first_mismatch == j

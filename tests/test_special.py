@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as QQ
 from math import comb
 
@@ -148,7 +147,10 @@ def test_limit_spec_rejects_failed_closed_form_hypotheses():
 
 
 def test_limit_wrong_target_fails():
-    spec = replace(LIMIT_SPECS["limit-8x1"], target=RadConst(QQ(1, 2), 2))
+    old = LIMIT_SPECS["limit-8x1"]
+    spec = LimitSpec(
+        old.family, old.weight, old.argument, old.x_star, old.direction, RadConst(QQ(1, 2), 2)
+    )
     rep = limit_eval(spec, 1e-8)
     assert not rep.passed
     assert rep.exact == RadConst(QQ(1, 2), 3)
