@@ -9,6 +9,7 @@ prefactor bases) and for binary-splitting term ratios.
 from __future__ import annotations
 
 from fractions import Fraction as QQ
+from math import lcm
 
 from .errors import SingularPoint
 
@@ -25,11 +26,6 @@ def poly_eval(p: tuple, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_degree(p: tuple) -> int:
-    """Degree with deg(0) = -1."""
-    return len(p) - 1
 
 
 def poly_derivative(p: tuple) -> tuple:
@@ -102,60 +98,67 @@ class RatFun:
         return f"RatFun(num={list(self.num)}, den={list(self.den)})"
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _divmod(p: tuple, q: tuple) -> tuple:
+    """(quotient, remainder) of p by a nonzero q over Q."""
+    r, quo = list(p), [QQ(0)] * max(len(p) - len(q) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = QQ(r[k + len(q) - 1]) / q[-1]
+        for j, b in enumerate(q):
+            r[k + j] -= c * b
+    return poly(quo), poly(r)
 
 
-def _deflate(p: tuple, root) -> tuple:
-    """Divide p by (x - root); p(root) must be 0."""
-    out = [QQ(0)] * (len(p) - 1)
-    carry = QQ(0)
-    for k in range(len(p) - 1, 0, -1):
-        carry = p[k] + carry * root
-        out[k - 1] = carry
-    return poly(out)
+def _cleared(p) -> list:
+    """p times the lcm of its denominators: integers with the same signs."""
+    den = lcm(*(c.denominator for c in p))
+    return [c.numerator * (den // c.denominator) for c in p]
 
 
 def rational_roots(p: tuple) -> tuple[list, int]:
-    """All rational roots (with multiplicity collapsed) of p, plus the count
-    of remaining non-rational roots.
+    """The distinct rational roots of p, sorted, and the count of roots left
+    once those are divided out with multiplicity.
 
-    Candidates are enumerated from divisors of the integerized constant and
-    leading coefficients (the classical rational-root test), verified by exact
-    evaluation, and deflated out so multiplicities are accounted for.
+    Bisection of Cauchy's bound by the Sturm chain of p / gcd(p, p') isolates
+    the real roots.  A rational root's denominator divides L, the lead of p
+    cleared to integers, so an interval of width 1/S <= 1/(2 L^2) holds at
+    most one; limit_denominator(L) finds it and exact evaluation decides it.
+    In y = S x the chain is integers, evaluated at integers by Horner.
     """
     p = poly(p)
     if not p:
         raise ValueError("rational_roots of the zero polynomial")
-    roots = []
-    # strip zero roots
-    while p[0] == 0 and len(p) > 1:
-        if QQ(0) not in roots:
-            roots.append(QQ(0))
-        p = p[1:]
-    if poly_degree(p) >= 1:
-        from math import lcm
+    g, h = p, poly_derivative(p)  # g becomes gcd(p, p')
+    while h:
+        g, h = h, _divmod(g, h)[1]
+    chain = [sqf := _divmod(p, g)[0], poly_derivative(sqf)]
+    while len(chain[-1]) > 1:
+        chain.append(poly_scale(_divmod(chain[-2], chain[-1])[1], -1))
+    L = abs(_cleared(p)[-1])
+    S = 1 << (2 * L * L).bit_length()
+    cauchy = 2 + int(max((abs(c / p[-1]) for c in p[:-1]), default=0))
+    B = S << cauchy.bit_length()  # every root has |y| < B
+    ints = [_cleared([c / S**k for k, c in enumerate(q)]) for q in chain]
 
-        scale = lcm(*(c.denominator for c in p))
-        ip = [c.numerator * (scale // c.denominator) for c in p]
-        lead, const = ip[-1], ip[0]
-        cands = set()
-        for a in _divisors(const):
-            for b in _divisors(lead):
-                cands.add(QQ(a, b))
-                cands.add(QQ(-a, b))
-        for cand in sorted(cands):
-            while poly_degree(p) >= 1 and poly_eval(p, cand) == 0:
-                if cand not in roots:
-                    roots.append(cand)
-                p = _deflate(p, cand)
-    return sorted(roots), max(poly_degree(p), 0)
+    def changes(y):
+        signs = []
+        for q in ints:
+            v = 0
+            for c in reversed(q):
+                v = v * y + c
+            if v:
+                signs.append(v > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # a set: a root at a bisection point can be the next interval's candidate
+    roots, todo = set(), [(-B, changes(-B), B, changes(B))]
+    while todo:
+        lo, vlo, hi, vhi = todo.pop()
+        if vlo != vhi and hi - lo > 1:
+            mid = (lo + hi) // 2
+            todo += [(lo, vlo, mid, vmid := changes(mid)), (mid, vmid, hi, vhi)]
+        elif vlo != vhi and poly_eval(p, x := QQ(hi, S).limit_denominator(L)) == 0:
+            roots.add(x)
+    for x in roots:
+        while poly_eval(p, x) == 0:
+            p = _divmod(p, (-x, 1))[0]
+    return sorted(roots), len(p) - 1

@@ -25,9 +25,9 @@ from .hyper import (
     two_sin_pi,
 )
 from .numerics import BigApprox, RadConst, format_rational, prec_for_digits, sin_pi
-from .poly import RatFun, _deflate, poly, poly_eval, poly_sub
+from .poly import RatFun, _divmod, poly, poly_eval, poly_sub
 from .transforms import Prefactor, get_rule, verify_rule_formal
-from .translate import SeriesSpec, solve_for_x, theta_transport, translate
+from .translate import SeriesSpec, theta_transport, translate
 
 
 # ============================================================
@@ -153,7 +153,7 @@ def _leading_term(f: RatFun, x) -> tuple:
             raise InvariantViolation("limit spec function is identically zero")
         k = 0
         while poly_eval(p, x) == 0:
-            p = _deflate(p, x)
+            p = _divmod(p, (-x, 1))[0]
             k += 1
         out.append((k, poly_eval(p, x)))
     (kn, cn), (kd, cd) = out
@@ -554,9 +554,3 @@ def rogers_domb_check(digits: int = 30) -> RogersReport:
         ),
     )
 
-
-def sun_solve_points() -> dict:
-    """Rational x with 64x/(64x-1) = z for each z in the section's list."""
-    c_map = RatFun((0, 64), (-1, 64))
-    targets = [QQ(-1), QQ(-1, 8), QQ(1, 64), QQ(4), QQ(-8), QQ(64)]
-    return {t: solve_for_x(c_map, t) for t in targets}

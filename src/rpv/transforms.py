@@ -53,7 +53,7 @@ from .numerics import (
     rad_pow_half,
     rad_to_bigapprox,
 )
-from .poly import RatFun, poly, poly_derivative, poly_eval
+from .poly import RatFun, poly, poly_derivative, poly_eval, poly_mul, poly_scale
 
 # ============================================================
 # prefactors: scale * prod p_i(x)^(e_i)
@@ -161,8 +161,6 @@ def _parse_poly_spec(spec) -> tuple:
         return poly([_parse_coeff(c) for c in spec])
     base = poly([_parse_coeff(c) for c in spec["base"]])
     out = poly([1])
-    from .poly import poly_mul, poly_scale
-
     for _ in range(int(spec.get("pow", 1))):
         out = poly_mul(out, base)
     if "scale" in spec:
@@ -251,7 +249,7 @@ def verify_rule_formal(rule: TransformRule, order: int = 64) -> CheckReport:
     return compare_series(lhs, rhs, order)
 
 
-def verify_rule_numeric(rule: TransformRule, x0, digits: int = 20) -> CheckReport:
+def verify_rule_numeric(rule: TransformRule, x0, digits: int) -> CheckReport:
     """Check the rule as a numeric identity at x = x0.
 
     Both argument values must be inside their families' convergence

@@ -238,7 +238,10 @@ class Certificate(NamedTuple):
 # ============================================================
 
 def solve_for_x(ratfun, z_target) -> list:
-    """All rational x with ratfun(x) = z_target (poles excluded), sorted."""
+    """All rational x with ratfun(x) = z_target (poles excluded), sorted.
+
+    The candidates are the rational roots of num - z_target * den, which
+    poly.rational_roots isolates by Sturm sequences and decides exactly."""
     z = QQ(z_target)
     p = poly_sub(ratfun.num, poly_scale(ratfun.den, z))
     roots, _ = rational_roots(p)

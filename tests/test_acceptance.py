@@ -21,7 +21,6 @@ from rpv.special import (
     sun_2_11,
     sun_4_14,
     sun_S2_identity,
-    sun_solve_points,
 )
 from rpv.transforms import (
     _family_compose,
@@ -33,6 +32,7 @@ from rpv.transforms import (
     verify_rule_numeric,
 )
 from rpv.translate import Certificate, replay, translate
+from test_special import sun_solve_points
 
 
 def line(criterion: str, ok: bool, detail: str) -> None:

@@ -449,6 +449,13 @@ def test_huge_digit_count_exits_2_quickly():
     assert len(err) < 200 and "at least 1" in err
 
 
+def test_target_z_with_smooth_denominator_exits_2_quickly():
+    # no rational x0 joins the two sides; enumerating the divisors of the
+    # denominator ran past 20 s before the roots were isolated
+    argv = ["translate", "--source", "s13-01", "--rule", "class7", "--target-z", "-1/151931373056000"]
+    assert "no rational point joins" in _exits_2_quickly(argv)
+
+
 def test_replay_huge_integer_exits_2_quickly(tmp_path):
     argv = ["translate", "--source", "start-1/2", "--rule", "kummer-sq", "--target-z", "-1/8"]
     code, out, _ = run_cli(argv + ["--json"])

@@ -24,8 +24,15 @@ from rpv.special import (
     sun_2_11,
     sun_4_14,
     sun_S2_identity,
-    sun_solve_points,
 )
+from rpv.translate import solve_for_x
+
+
+def sun_solve_points() -> dict:
+    """Rational x with 64x/(64x-1) = z for each z in the section's list."""
+    c_map = RatFun((0, 64), (-1, 64))
+    targets = [QQ(-1), QQ(-1, 8), QQ(1, 64), QQ(4), QQ(-8), QQ(64)]
+    return {t: solve_for_x(c_map, t) for t in targets}
 
 
 def test_starting_formula_half():
