@@ -1,7 +1,5 @@
 """The machine-readable series catalog and its verification driver."""
 
-from __future__ import annotations
-
 import json
 import os
 from functools import cache
@@ -210,7 +208,7 @@ def _replay_transport(entry: CatalogEntry, wrapper: dict, entries: list) -> tupl
     """Replay one stored transport certificate; returns (ok, detail)."""
     stored = json_field(wrapper, "certificate", dict)
     cert = Certificate.from_json(stored)
-    rep = replay(stored)
+    rep = replay(cert, stored)
     if not rep.passed:
         return False, f"replay failed: {rep.detail}"
     src_id = json_field(wrapper, "source_id", str)

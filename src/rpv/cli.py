@@ -70,76 +70,96 @@ def _int_at_least(least: int):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("verify", "rules", "translate", "digits", "limit", "sun", "start")
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of rpv's command line.  When argv starts with a subcommand
+    name, only that subcommand's parser is built; the top parser still names
+    every subcommand in its usage, so each help and error text is the one
+    the full parser prints."""
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
     top = _Parser(
         prog="rpv",
         description="Verify hypergeometric series for 1/pi and their transformation rules.",
     )
-    sub = top.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("verify", help="check catalog entries against the pi oracle")
-    p.add_argument("--id", dest="entry_id", help="single catalog entry id (default: all)")
-    p.add_argument(
-        "--digits", type=_int_at_least(1), required=True, help="decimal digits to match"
-    )
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
-
-    rules = sub.add_parser("rules", help="transformation-rule operations")
-    rsub = rules.add_subparsers(dest="rules_command", required=True)
-    p = rsub.add_parser("verify", help="formal power-series check of shipped rules")
-    p.add_argument("--order", type=_int_at_least(8), required=True, help="truncation order")
-    p.add_argument("--rule", dest="rule_id", help="single rule id (default: all)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
-
-    p = sub.add_parser("translate", help="transport a catalog spec along a rule")
-    p.add_argument("--source", required=True, help="catalog entry id")
-    p.add_argument("--rule", required=True, help="transformation rule id")
-    point = p.add_mutually_exclusive_group(required=True)
-    point.add_argument("--x0", help='evaluation point, strictly "p/q"')
-    point.add_argument("--target-z", dest="target_z", help='target argument, strictly "p/q"')
-    p.add_argument("--replay", dest="replay_file", help="certificate JSON file to replay")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("digits", help="compute pi digits from a catalog entry")
-    p.add_argument("--id", dest="entry_id", required=True)
-    p.add_argument("--digits", type=_int_at_least(1), required=True)
-    p.add_argument("--out", help="write the digit text to this file")
-    p.add_argument("--check", action="store_true", help="compare against the Machin pi oracle")
-
-    p = sub.add_parser(
-        "limit", help="decide a boundary limit exactly by its Abelian closed form"
-    )
-    p.add_argument("--id", dest="limit_id", required=True)
-    p.add_argument("--tolerance", type=float, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--jobs",
-        type=_int_at_least(1),
-        default=1,
-        help="accepted for compatibility; has no effect (the verdict is exact)",
-    )
-
-    p = sub.add_parser("sun", help="run one of the conjecture checks")
-    p.add_argument(
-        "--check",
+    sub = top.add_subparsers(
+        dest="subcommand",
         required=True,
-        choices=["2.11", "4.14", "s2-identity", "rogers"],
-        help="which check to run",
+        parser_class=_Parser,
+        metavar=None if only is None else "{" + ",".join(_COMMANDS) + "}",
     )
-    p.add_argument(
-        "--digits",
-        type=_int_at_least(1),
-        required=True,
-        help="working digits (for s2-identity: rows of the identity to check)",
-    )
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("start", help="check the starting formula at a rational s")
-    p.add_argument("--s", required=True, help='rational in (0,1), strictly "p/q"')
-    p.add_argument("--digits", type=_int_at_least(1), required=True)
-    p.add_argument("--json", action="store_true")
+    if only in (None, "verify"):
+        p = sub.add_parser("verify", help="check catalog entries against the pi oracle")
+        p.add_argument("--id", dest="entry_id", help="single catalog entry id (default: all)")
+        p.add_argument(
+            "--digits", type=_int_at_least(1), required=True, help="decimal digits to match"
+        )
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--jobs", type=_int_at_least(1), default=1)
+
+    if only in (None, "rules"):
+        rules = sub.add_parser("rules", help="transformation-rule operations")
+        rsub = rules.add_subparsers(dest="rules_command", required=True)
+        p = rsub.add_parser("verify", help="formal power-series check of shipped rules")
+        p.add_argument("--order", type=_int_at_least(8), required=True, help="truncation order")
+        p.add_argument("--rule", dest="rule_id", help="single rule id (default: all)")
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--jobs", type=_int_at_least(1), default=1)
+
+    if only in (None, "translate"):
+        p = sub.add_parser("translate", help="transport a catalog spec along a rule")
+        p.add_argument("--source", required=True, help="catalog entry id")
+        p.add_argument("--rule", required=True, help="transformation rule id")
+        point = p.add_mutually_exclusive_group(required=True)
+        point.add_argument("--x0", help='evaluation point, strictly "p/q"')
+        point.add_argument("--target-z", dest="target_z", help='target argument, strictly "p/q"')
+        p.add_argument("--replay", dest="replay_file", help="certificate JSON file to replay")
+        p.add_argument("--json", action="store_true")
+
+    if only in (None, "digits"):
+        p = sub.add_parser("digits", help="compute pi digits from a catalog entry")
+        p.add_argument("--id", dest="entry_id", required=True)
+        p.add_argument("--digits", type=_int_at_least(1), required=True)
+        p.add_argument("--out", help="write the digit text to this file")
+        p.add_argument("--check", action="store_true", help="compare against the Machin pi oracle")
+
+    if only in (None, "limit"):
+        p = sub.add_parser(
+            "limit", help="decide a boundary limit exactly by its Abelian closed form"
+        )
+        p.add_argument("--id", dest="limit_id", required=True)
+        p.add_argument("--tolerance", type=float, required=True)
+        p.add_argument("--json", action="store_true")
+        p.add_argument(
+            "--jobs",
+            type=_int_at_least(1),
+            default=1,
+            help="accepted for compatibility; has no effect (the verdict is exact)",
+        )
+
+    if only in (None, "sun"):
+        p = sub.add_parser("sun", help="run one of the conjecture checks")
+        p.add_argument(
+            "--check",
+            required=True,
+            choices=["2.11", "4.14", "s2-identity", "rogers"],
+            help="which check to run",
+        )
+        p.add_argument(
+            "--digits",
+            type=_int_at_least(1),
+            required=True,
+            help="working digits (for s2-identity: rows of the identity to check)",
+        )
+        p.add_argument("--json", action="store_true")
+
+    if only in (None, "start"):
+        p = sub.add_parser("start", help="check the starting formula at a rational s")
+        p.add_argument("--s", required=True, help='rational in (0,1), strictly "p/q"')
+        p.add_argument("--digits", type=_int_at_least(1), required=True)
+        p.add_argument("--json", action="store_true")
 
     return top
 
@@ -228,7 +248,7 @@ def _run_translate(args) -> int:
     if args.replay_file:
         doc = read_json(args.replay_file, "certificate file")
         stored = Certificate.from_json(doc)
-        rep = replay(doc)
+        rep = replay(stored, doc)
         matches = stored.target.same_identity(cert.target)
         ok = rep.passed and matches
         replay_result = {"pass": rep.passed, "matchesDerivation": matches, "detail": rep.detail}
@@ -338,7 +358,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

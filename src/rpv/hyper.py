@@ -23,8 +23,10 @@ with
     domb            2(2n+1)(10n^2+10n+3)          -36n(2n-1)(2n+1)
 
 and its envelope |t_n| <= (n+1)^deg * R^n, proved in the row's comment for
-0 < s < 1, the range parse_family accepts.  The recurrence generates the
-stream (family_recurrence) and the envelope bounds tails (family_envelope).
+0 < s < 1, the range parse_family accepts.  The recurrence, cleared to
+integer cubics at z = 1 (clear_recurrence), generates the stream as integer
+numerators over running products of D(n), with no Fraction per term
+(_extend), and the envelope bounds tails (family_envelope).
 The definitions above are the test oracle; tests/test_hyper.py also proves
 each recurrence (the differential operator theta^3 - x P(theta) - x^2 Q(theta+1)
 annihilates the generating function, and a WZ certificate for domb).
@@ -48,18 +50,16 @@ the returned BigApprox error bound includes it.  Summation outside
 certificates, never by summation.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from fractions import Fraction as QQ
 from typing import NamedTuple
 
 from .errors import DivergentInput, ParseError
-from .fps import Series, fps_mul
+from .fps import Series, _series, fps_mul
 from .numerics import BigApprox, RadConst, format_rational, parse_rational, pi_oracle
 from .numerics import _show_literal, prec_for_digits, rad_to_bigapprox, sin_pi, split_range
-from .poly import poly, poly_eval, poly_mul
+from .poly import poly, poly_mul
 
 # ============================================================
 # Pochhammer and generic hypergeometric streams
@@ -219,30 +219,42 @@ def clear_recurrence(rec, z) -> tuple[tuple, tuple, tuple]:
 _stream_cache: dict = {}
 
 
-def _extend(fam: CoeffFamily, n: int) -> list:
-    cache = _stream_cache.setdefault(fam, [QQ(1)])
-    if len(cache) > n:
-        return cache
-    P, Q = family_recurrence(fam)
-    while len(cache) <= n:
-        k = len(cache) - 1
-        t = poly_eval(P, k) * cache[k]
-        if Q and k:
-            t += poly_eval(Q, k) * cache[k - 1]
-        cache.append(t / (k + 1) ** 3)
-    return cache
+def _cubic(c, n: int) -> int:
+    return c[0] + n * (c[1] + n * (c[2] + n * c[3]))
+
+
+def _extend(fam: CoeffFamily, n: int) -> tuple[list, list]:
+    """(us, dens), the family's stream extended in place to index n, with
+    t_k = us[k] / dens[k].  The step is clear_recurrence at z = 1, on
+    integers: dens[k] = prod_{j<k} D(j), us[k] = t_k dens[k] and
+
+        us[k+1] = A(k) us[k] + B(k) D(k-1) us[k-1].
+    """
+    us, dens = _stream_cache.setdefault(fam, ([1], [1]))
+    if len(us) <= n:
+        A, B, D = clear_recurrence(family_recurrence(fam), 1)
+        for k in range(len(us) - 1, n):
+            u = _cubic(A, k) * us[k]
+            if B and k:
+                u += _cubic(B, k) * _cubic(D, k - 1) * us[k - 1]
+            us.append(u)
+            dens.append(dens[k] * _cubic(D, k))
+    return us, dens
 
 
 def coeff(fam: CoeffFamily, n: int):
     """Exact n-th coefficient of the family stream."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _extend(fam, n)[n]
+    us, dens = _extend(fam, n)
+    return QQ(us[n], dens[n])
 
 
 def family_series(fam: CoeffFamily, order: int) -> Series:
     """sum t_n y^n as a formal series in y, to `order`."""
-    return Series(_extend(fam, order)[: order + 1])
+    us, dens = _extend(fam, order)
+    top = dens[order]
+    return _series([u * (top // d) for u, d in zip(us, dens[: order + 1])], top)
 
 
 def edge(fam: CoeffFamily, z):

@@ -20,8 +20,6 @@ rounding error of that evaluation, making the oracle independent of every
 series in the catalog.
 """
 
-from __future__ import annotations
-
 import math as _math
 import operator
 import re

@@ -1,7 +1,5 @@
 """Starting formula, limit formulas, and the Sun conjecture checks."""
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction as QQ
 from math import comb

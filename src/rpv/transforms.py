@@ -17,8 +17,6 @@ yet false as a numeric identity on part of the real line (see the
 with certified interval arithmetic; ``translate`` uses it as a gate.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 from fractions import Fraction as QQ
@@ -33,7 +31,6 @@ from .fps import (
     fps_mul,
     fps_pow_rational,
     fps_scale,
-    fps_sub,
 )
 from .hyper import (
     CheckReport,
@@ -43,7 +40,6 @@ from .hyper import (
     converges,
     eval_numeric,
     family_series,
-    hyper_series,
     parse_family,
 )
 from .numerics import (
@@ -93,14 +89,8 @@ class Prefactor(NamedTuple):
 
         Each factor is expanded as (p/p(0))^e, and the constant they leave
         out is the value at 0, which is 1."""
-        out = Series.one(order)
-        for p, e in self.factors:
-            p0 = poly_eval(p, QQ(0))
-            if p0 == 0:
-                raise SingularPoint("prefactor base vanishes at x = 0")
-            unit = fps_scale(Series(list(p[: order + 1]) + [0] * (order + 1 - len(p))), 1 / p0)
-            out = fps_mul(out, fps_pow_rational(unit, e))
-        return out
+        parts = [_factor_series(p, e, order) for p, e in self.factors]
+        return functools.reduce(fps_mul, parts) if parts else Series.one(order)
 
     def dlog_at(self, x0):
         """Exact logarithmic derivative B'(x0)/B(x0), a rational."""
@@ -117,6 +107,17 @@ class Prefactor(NamedTuple):
 
     def inverse(self) -> "Prefactor":
         return Prefactor(1 / QQ(self.scale), tuple((p, -e) for p, e in self.factors))
+
+
+@functools.cache
+def _factor_series(p: tuple, e, order: int) -> Series:
+    """(p/p(0))^e to `order`, memoized per process: the shipped prefactors
+    share most of their factors."""
+    p0 = poly_eval(p, QQ(0))
+    if p0 == 0:
+        raise SingularPoint("prefactor base vanishes at x = 0")
+    unit = fps_scale(Series(list(p[: order + 1]) + [0] * (order + 1 - len(p))), 1 / p0)
+    return fps_pow_rational(unit, e)
 
 
 # ============================================================
@@ -240,10 +241,17 @@ def _family_compose(fam: CoeffFamily, arg: Series, order: int) -> Series:
     return fps_compose(family_series(fam, order), arg.truncate(order))
 
 
+@functools.cache
+def _expansion(num: tuple, den: tuple, order: int) -> Series:
+    """num/den to `order`, memoized per process like _family_compose: the
+    shipped rules share most of their argument maps."""
+    return fps_expand_ratfun(num, den, order)
+
+
 def verify_rule_formal(rule: TransformRule, order: int = 64) -> CheckReport:
     """Expand both sides to `order` and compare coefficients exactly."""
-    Aser = fps_expand_ratfun(rule.A.num, rule.A.den, order)
-    Cser = fps_expand_ratfun(rule.C.num, rule.C.den, order)
+    Aser = _expansion(rule.A.num, rule.A.den, order)
+    Cser = _expansion(rule.C.num, rule.C.den, order)
     lhs = _family_compose(rule.lhs, Aser, order)
     rhs = fps_mul(rule.B.series(order), _family_compose(rule.rhs, Cser, order))
     return compare_series(lhs, rhs, order)
@@ -297,68 +305,3 @@ def rule_report(rid: str, order: int) -> RuleReport:
     rule = get_rule(rid)
     rep = verify_rule_formal(rule, order)
     return RuleReport(rid, rep.passed, rep.detail, rule.note if "warning" in rule.tags else None)
-
-
-# ============================================================
-# Gauss-level (2F1) transformations
-# ============================================================
-#
-# The square2F1 rules above are squares of classical 2F1 transformations.
-# These checks work at the 2F1 level directly, mostly as regression evidence
-# that the series substrate composes transformations correctly.
-
-def _one_minus_x_pow(e, order: int) -> Series:
-    return fps_pow_rational(
-        Series([QQ(1), QQ(-1)] + [QQ(0)] * (order - 1)), QQ(e)
-    )
-
-
-def _x_over_x_minus_1(order: int) -> Series:
-    # x/(x-1) = -x/(1-x) = -(x + x^2 + ...)
-    return Series([QQ(0)] + [QQ(-1)] * order)
-
-
-def gauss_pfaff_check(a, b, c, order: int = 32) -> CheckReport:
-    """2F1(a,b;c;x) == (1-x)^(-a) 2F1(a, c-b; c; x/(x-1)) to `order`."""
-    a, b, c = QQ(a), QQ(b), QQ(c)
-    lhs = hyper_series([a, b], [c], order)
-    inner = fps_compose(hyper_series([a, c - b], [c], order), _x_over_x_minus_1(order))
-    rhs = fps_mul(_one_minus_x_pow(-a, order), inner)
-    return compare_series(lhs, rhs, order)
-
-
-def gauss_euler_check(a, b, c, order: int = 32) -> CheckReport:
-    """2F1(a,b;c;x) == (1-x)^(c-a-b) 2F1(c-a, c-b; c; x) to `order`."""
-    a, b, c = QQ(a), QQ(b), QQ(c)
-    lhs = hyper_series([a, b], [c], order)
-    rhs = fps_mul(
-        _one_minus_x_pow(c - a - b, order), hyper_series([c - a, c - b], [c], order)
-    )
-    return compare_series(lhs, rhs, order)
-
-
-def pfaff_twice_is_euler(a, b, c, order: int = 32) -> CheckReport:
-    """Composing Pfaff (b-slot) with Pfaff (a-slot) reproduces Euler.
-
-    Both steps are carried out mechanically on series: substitute
-    y = x/(x-1) into the once-transformed series, multiply the two
-    prefactors, and compare against the Euler form termwise.
-    """
-    a, b, c = QQ(a), QQ(b), QQ(c)
-    y = _x_over_x_minus_1(order)
-    # w = y/(y-1) = -y * (1-y)^(-1), as a series in x (collapses back to x,
-    # but it is computed, not assumed)
-    one_minus_y = fps_sub(Series.one(order), y)
-    w = fps_scale(fps_mul(y, fps_pow_rational(one_minus_y, QQ(-1))), -1)
-    # step 1 prefactor (1-x)^(-a); step 2 prefactor (1-y)^(-(c-b)) composed in x
-    pref = fps_mul(
-        _one_minus_x_pow(-a, order), fps_pow_rational(one_minus_y, -(c - b))
-    )
-    core = fps_compose(hyper_series([c - a, c - b], [c], order), w)
-    composed = fps_mul(pref, core)
-    euler = fps_mul(
-        _one_minus_x_pow(c - a - b, order), hyper_series([c - a, c - b], [c], order)
-    )
-    direct = hyper_series([a, b], [c], order)
-    report = compare_series(composed, euler, order)
-    return compare_series(composed, direct, order) if report.passed else report

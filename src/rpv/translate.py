@@ -27,8 +27,6 @@ exactly, but their constant is not yet checked against the value of the
 series continued analytically to z, and say so in their notes.
 """
 
-from __future__ import annotations
-
 import json
 from fractions import Fraction as QQ
 from math import gcd, lcm
@@ -474,14 +472,16 @@ def _drift(fresh: dict, stored: dict, prefix: str = "") -> list:
     return out
 
 
-def replay(cert: Certificate | dict) -> CheckReport:
+def replay(cert: Certificate | dict, stored: dict | None = None) -> CheckReport:
     """Derive the certificate again from its source, rule and x0, and compare
     the whole record with the stored one in canonical JSON.  It passes only
     when they are equal; otherwise the report names every key that differs.
-    A route whose gate fails raises GateRefused, as translate does."""
+    A caller that has read cert from JSON passes that JSON as `stored`, so a
+    stored field the reader ignores still shows as drift.  A route whose
+    gate fails raises GateRefused, as translate does."""
     if isinstance(cert, dict):
         stored, cert = cert, Certificate.from_json(cert)
-    else:
+    elif stored is None:
         stored = cert.to_json()
     fresh = translate(cert.source, cert.rule_id, x0=cert.x0)
     drift = _drift(fresh.to_json(), stored)

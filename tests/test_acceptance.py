@@ -25,13 +25,13 @@ from rpv.special import (
 from rpv.transforms import (
     _family_compose,
     get_rule,
-    pfaff_twice_is_euler,
     rule_ids,
     rule_report,
     verify_rule_formal,
     verify_rule_numeric,
 )
 from rpv.translate import Certificate, replay, translate
+from gauss_checks import pfaff_twice_is_euler
 from test_special import sun_solve_points
 
 

@@ -229,6 +229,24 @@ def test_tampered_certificate_detected(tmp_path):
     assert not rep.passed and "replay" in rep.detail
 
 
+def test_catalog_replay_diffs_the_raw_stored_certificate(tmp_path):
+    # a key the certificate reader ignores, and an x0 that parses to the same
+    # point but is not its canonical text, must both show as drift
+    doc = json.loads(CATALOG.read_text())
+    p = tmp_path / "catalog.json"
+    p.write_text(json.dumps(doc))
+    certs = json.loads((DATA_DIR / "certificates.json").read_text())
+    stored = certs["entries"]["s14-02"][0]["certificate"]
+    num, den = stored["x0"].split("/")
+    stored["x0"] = f"{2 * int(num)}/{2 * int(den)}"
+    stored["trace"]["extra"] = "1"
+    (tmp_path / "certificates.json").write_text(json.dumps(certs))
+    entries = load_catalog(str(p))
+    rep = verify_entry(get_entry(entries, "s14-02"), 15, entries=entries)
+    assert not rep.passed
+    assert "replay failed: replay drift in: trace.extra, x0" in rep.detail
+
+
 def test_certificate_generator_reproduces_shipped_file():
     # loads the tool without running main(), so the shipped file is only read
     tool = Path(__file__).resolve().parents[1] / "tools" / "gen_certificates.py"

@@ -16,7 +16,7 @@ import rpv.numerics
 import rpv.special
 from rpv.binsplit import digits_file_text, oracle_digits
 from rpv.catalog import DATA_DIR
-from rpv.cli import main, render_json
+from rpv.cli import _COMMANDS, _build_parser, main, render_json
 from rpv.numerics import RadConst
 
 
@@ -415,6 +415,79 @@ def test_catalog_env_override(tmp_path, monkeypatch):
 def test_help_exits_0():
     code, _, _ = run_cli(["--help"])
     assert code == 0
+
+
+# argv that end in help, a usage error or a parse, one or more per subcommand
+PARSER_CASES = [
+    ["verify"],
+    ["verify", "-h"],
+    ["verify", "--digits", "x"],
+    ["verify", "--digits", "5", "--bogus"],
+    ["verify", "--digits", "5", "extra"],
+    ["verify", "--jobs", "0", "--digits", "3"],
+    ["verify", "--digits", "5", "--id", "s12-04", "--json"],
+    ["rules"],
+    ["rules", "-h"],
+    ["rules", "bogus"],
+    ["rules", "verify", "-h"],
+    ["rules", "verify", "--order", "4"],
+    ["rules", "verify", "--order", "8", "--nope"],
+    ["translate", "-h"],
+    ["translate", "--source", "a", "--rule", "b"],
+    ["translate", "--source", "a", "--rule", "b", "--x0", "1", "--target-z", "2"],
+    ["translate", "--source", "a", "--rule", "b", "--x0", "-1/8"],
+    ["digits", "-h"],
+    ["digits", "--id", "s", "--digits", "5", "--out"],
+    ["limit", "-h"],
+    ["limit", "--id", "x", "--tolerance", "abc"],
+    ["sun", "-h"],
+    ["sun", "--check", "bogus", "--digits", "10"],
+    ["start", "-h"],
+    ["start", "--s"],
+]
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES)
+def test_subcommand_parser_reads_like_the_full_parser(monkeypatch, argv):
+    # the full parser is the one built for an argv that names no subcommand
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(_build_parser(argv), argv) == _parse(_build_parser(), argv)
+
+
+def test_subcommand_parser_builds_one_subcommand():
+    for argv, names in (
+        (["digits"], ("digits",)),
+        (["-h"], _COMMANDS),
+        (["ver"], _COMMANDS),  # an unknown name gets the full parser's error
+    ):
+        sub = next(a for a in _build_parser(argv)._actions if a.dest == "subcommand")
+        assert tuple(sub.choices) == names, argv
+
+
+def test_subcommand_usage_errors_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = "usage: rpv [-h] {verify,rules,translate,digits,limit,sun,start} ...\n"
+    assert run_cli(["verify", "--digits", "5", "--bogus"]) == (
+        2, "", usage + "rpv: error: unrecognized arguments: --bogus\n"
+    )
+    assert run_cli(["rules"]) == (
+        2,
+        "",
+        "usage: rpv rules [-h] {verify} ...\n"
+        "rpv rules: error: the following arguments are required: rules_command\n",
+    )
+    code, out, _ = run_cli(["-h"])
+    assert code == 0 and out.startswith(usage)
 
 
 def test_replay_oversized_radicand_exits_2(tmp_path):

@@ -65,6 +65,38 @@ def test_traced_digit_runs_report_the_split():
         assert split["terms"] > 0 and split["depth"] > 1, (eid, split)
 
 
+RULES_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+t = Tracer()
+t.install()
+import rpv.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = rpv.cli.main(["rules", "verify", "--order", "32", "--jobs", "1", "--json"])
+spans = t.summary()
+print(json.dumps({"code": code, "extend": spans.get("hyper.extend"),
+                  "prefactor": spans.get("transforms.prefactor_series")}))
+"""
+
+
+def test_traced_rules_run_reports_streams_and_prefactors():
+    # memoized factors and integer streams must still pass through the
+    # wrapped names, or the benchmark would read these layers as idle
+    proc = subprocess.run(
+        [sys.executable, "-c", RULES_SCRIPT, str(PERFBENCH)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["code"] == 0
+    for name in ("extend", "prefactor"):
+        span = out[name]
+        assert span is not None and span["calls"] > 0 and span["s"] > 0, (name, span)
+    assert out["extend"]["n"] == 32
+
+
 def test_canonical_outputs_match_recorded_digests(monkeypatch):
     # the benchmark checks these outputs byte for byte against its record
     monkeypatch.delenv("RPV_CATALOG", raising=False)

@@ -47,6 +47,22 @@ def test_cli_start_imports_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == ""
 
 
+def test_stream_cache_is_empty_after_import():
+    # perfbench refuses a request that starts with a warm stream cache
+    env = {k: v for k, v in os.environ.items() if k != "RPV_CATALOG"}
+    env["PYTHONPATH"] = str(Path(rpv.__file__).resolve().parent.parent)
+    script = (
+        "import rpv.cli\n"
+        "from rpv import hyper\n"
+        "print(type(hyper._stream_cache).__name__, len(hyper._stream_cache))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["dict", "0"]
+
+
 def test_bigapprox_refuses_tuple_operations():
     x = BigApprox.from_int(3, 64)
     with pytest.raises(TypeError):

@@ -32,7 +32,7 @@ from rpv.translate import GATE_DIGITS, _gate_point, replay
 
 def reference_sum(fam, a, b, z, N):
     """sum_{n<N} (a+bn) t_n z^n, one Fraction per term."""
-    ts = hyper._extend(fam, N)
+    ts = [hyper.coeff(fam, n) for n in range(N)]
     total = QQ(0)
     zp = QQ(1)
     for n in range(N):

@@ -13,17 +13,15 @@ from rpv.transforms import (
     Prefactor,
     TransformRule,
     _parse_rule,
-    gauss_euler_check,
-    gauss_pfaff_check,
     get_rule,
     load_rules,
-    pfaff_twice_is_euler,
     reverse_rule,
     rule_ids,
     rule_report,
     verify_rule_formal,
     verify_rule_numeric,
 )
+from gauss_checks import gauss_euler_check, gauss_pfaff_check, pfaff_twice_is_euler
 
 
 def test_load_rules_inventory():
