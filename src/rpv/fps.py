@@ -107,20 +107,6 @@ def _series(nums, den: int) -> Series:
     return s
 
 
-def fps_add(a: Series, b: Series) -> Series:
-    n = min(a.order, b.order)
-    den = lcm(a.den, b.den)
-    sa, sb = den // a.den, den // b.den
-    return _series([x * sa + y * sb for x, y in zip(a.nums[: n + 1], b.nums)], den)
-
-
-def fps_sub(a: Series, b: Series) -> Series:
-    n = min(a.order, b.order)
-    den = lcm(a.den, b.den)
-    sa, sb = den // a.den, den // b.den
-    return _series([x * sa - y * sb for x, y in zip(a.nums[: n + 1], b.nums)], den)
-
-
 def fps_scale(a: Series, q) -> Series:
     q = QQ(q)
     p = q.numerator
@@ -207,11 +193,6 @@ def fps_pow_rational(base: Series, e) -> Series:
             den *= t
         fs.append(s // g)
     return _series(fs, den)
-
-
-def fps_theta(a: Series) -> Series:
-    """theta = x·d/dx: coefficient n·a_n at index n (order preserved)."""
-    return _series([k * c for k, c in enumerate(a.nums)], a.den)
 
 
 def fps_expand_ratfun(num, den, order: int) -> Series:

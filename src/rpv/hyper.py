@@ -39,13 +39,16 @@ pi oracle's arctangents run on it too) of the step on (w_n, w_{n-1}, S_n),
 w_n = t_n z^n: the partial sum comes out as one integer pair T/Q, without
 a Fraction per term.  sum_terms takes any recurrence in family_recurrence's
 form and returns that pair unreduced, and BigApprox.from_partial_sum floors
-it as given; every sum that becomes a BigApprox goes this way (eval_numeric,
-gauss_half_check and special's Sun 2.11 head and Sun 4.14 sum), while
+it as given; every sum that becomes a BigApprox goes this way (eval_numeric
+and special's Sun 2.11 head and Sun 4.14 sum), while
 binsplit.pi_digits splits clear_recurrence(family_recurrence(fam), z)
 itself.  A first-order recurrence (hyper3F2) carries a scalar P, the others
 a 2x2 block.  N is the first power of two from 16 whose exact
 geometric-type tail bound from the envelope is below 10^-(digits+3), and
-the returned BigApprox error bound includes it.  Summation outside
+the returned BigApprox error bound includes it.  The bound and the test are
+integers (_tail_parts); a fixed-point lower bound of (|z| R)^N skips each N
+that cannot certify, so a z near the envelope's edge is refused at once
+rather than after exact powers of 2^22 terms.  Summation outside
 |z|*R < 1 raises DivergentInput — such entries are handled by
 certificates, never by summation.
 """
@@ -56,23 +59,14 @@ from fractions import Fraction as QQ
 from typing import NamedTuple
 
 from .errors import DivergentInput, ParseError
-from .fps import Series, _series, fps_mul
+from .fps import Series, _series
 from .numerics import BigApprox, RadConst, format_rational, parse_rational, pi_oracle
 from .numerics import _show_literal, prec_for_digits, rad_to_bigapprox, sin_pi, split_range
 from .poly import poly, poly_mul
 
 # ============================================================
-# Pochhammer and generic hypergeometric streams
+# generic hypergeometric streams
 # ============================================================
-
-def pochhammer(a, n: int):
-    """(a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    a = QQ(a)
-    out = QQ(1)
-    for k in range(n):
-        out *= a + k
-    return out
-
 
 def hyper_series(upper, lower, order: int) -> Series:
     """Series of pFq(upper; lower; x) to `order` (an extra n! is implicit)."""
@@ -259,70 +253,97 @@ def family_series(fam: CoeffFamily, order: int) -> Series:
 
 def edge(fam: CoeffFamily, z):
     """|z| times the envelope radius R; < 1 means provably summable."""
-    R, _ = family_envelope(fam)
-    return abs(QQ(z)) * R
+    z = QQ(z)
+    return QQ(abs(z.numerator) * family_envelope(fam)[0], z.denominator)
 
 
 def converges(fam: CoeffFamily, z) -> bool:
     """Provable absolute convergence of sum (a+bn) t_n z^n via the envelope."""
-    return edge(fam, z) < 1
+    z = QQ(z)
+    return abs(z.numerator) * family_envelope(fam)[0] < z.denominator
 
 
 # --- exact geometric-polynomial tails -----------------------------------
 
-def _tail_power_sum(j: int, r, N: int):
-    """r^-N sum_{n>=N} n^j r^n for j in {0,1,2}, exactly (0 < r < 1).
+def _tail_parts(fam: CoeffFamily, a, b, z, N: int) -> tuple[int, int, int, int]:
+    """(u, v, top, bottom) with tail_bound = (u/v)^N top / bottom, where
+    u/v = |z| R < 1 in lowest terms.
 
-    The factor r^N is left out: its denominator is as long as the digit run,
-    so tail_bound multiplies by it once, after the small brackets are summed.
+    With e = v - u, r^-N sum_{n>=N} n^j r^n times e^3/v is e^2 (j = 0),
+    N e^2 + u e (j = 1) and N^2 e^2 + (2N+1) u e + 2 u^2 (j = 2); top sums
+    them over the weights of (|a| + |b| n)(n+1)^deg cleared by L, and
+    bottom = e^3 L.  The factor (u/v)^N is left out: it is as long as the digit
+    run, while the rest stays small.
     """
-    one = 1 - r
-    if j == 0:
-        return 1 / one
-    if j == 1:
-        return QQ(N) / one + r / one**2
-    if j == 2:
-        return QQ(N * N) / one + (2 * N + 1) * r / one**2 + 2 * r**2 / one**3
-    raise ValueError("tail power sums implemented for j <= 2")
+    z = QQ(z)
+    u, v = abs(z.numerator) * family_envelope(fam)[0], z.denominator
+    if u >= v:
+        raise DivergentInput(f"family {fam} at z = {z} is outside the envelope")
+    g = math.gcd(u, v)
+    u, v = u // g, v // g
+    a, b = QQ(a), QQ(b)
+    L = math.lcm(a.denominator, b.denominator)
+    aa, bb = abs(a.numerator) * (L // a.denominator), abs(b.numerator) * (L // b.denominator)
+    e = v - u
+    s0 = e * e
+    s1 = N * s0 + u * e
+    if family_envelope(fam)[1] == 0:
+        top = aa * s0 + bb * s1
+    else:
+        top = aa * s0 + (aa + bb) * s1 + bb * (N * N * s0 + (2 * N + 1) * u * e + 2 * u * u)
+    return u, v, top * v, e**3 * L
 
 
 def tail_bound(fam: CoeffFamily, a, b, z, N: int):
     """Exact upper bound for | sum_{n>=N} (a+bn) t_n z^n |."""
-    _, deg = family_envelope(fam)
-    r = edge(fam, z)
-    if r >= 1:
-        raise DivergentInput(f"family {fam} at z = {z} is outside the envelope")
-    if r == 0:
+    u, v, top, bottom = _tail_parts(fam, a, b, z, N)
+    if u == 0:
         return QQ(0)
-    aa, bb = abs(QQ(a)), abs(QQ(b))
-    # (aa + bb n)(n+1)^deg expanded into powers of n
-    weights = {0: aa, 1: bb} if deg == 0 else {0: aa, 1: aa + bb, 2: bb}
-    return r**N * sum(w * _tail_power_sum(j, r, N) for j, w in weights.items() if w)
+    return QQ(u, v) ** N * QQ(top, bottom)
+
+
+def _never_certifies(u: int, v: int, top: int, bottom: int, N: int, target: int) -> bool:
+    """Whether (u/v)^N top / bottom >= 1/target is already decided by a lower
+    bound on (u/v)^N: the floor of u/v at k bits, squared and floored again
+    log2 N times, with k = 64 bits past the target.  When the bound is too
+    coarse to decide, the caller takes the exact test."""
+    k = target.bit_length() + 64
+    x, n = (u << k) // v, 1
+    while n < N:
+        x, n = (x * x) >> k, 2 * n
+    return x * top * target >= bottom << k
 
 
 # ============================================================
 # certified numeric evaluation
 # ============================================================
 
+@functools.cache
 def eval_numeric(fam: CoeffFamily, a, b, z, digits: int) -> BigApprox:
     """sum_{n>=0} (a+bn) t_n z^n with certified errBound < 10^-digits.
 
     Requires |z| strictly inside the envelope radius, else DivergentInput.
+    N doubles from 16 until the integer test u^N top 10^(digits+3) <
+    v^N bottom on _tail_parts holds; an N that the lower bound of
+    _never_certifies already rules out skips the exact test.  Memoized per
+    process, like transforms._family_compose: a run's rule gates repeat sums.
     """
     a, b, z = QQ(a), QQ(b), QQ(z)
     if not converges(fam, z):
         raise DivergentInput(
             f"series for family {fam} at z = {z} cannot be summed directly"
         )
-    target_num, target_den = 1, 10 ** (digits + 3)
-    N = 16
-    tail = tail_bound(fam, a, b, z, N)
-    while tail * target_den >= target_num:
+    target, N = 10 ** (digits + 3), 16
+    u, v, top, bottom = _tail_parts(fam, a, b, z, N)
+    while u and (
+        _never_certifies(u, v, top, bottom, N, target) or u**N * top * target >= v**N * bottom
+    ):
         N *= 2
         if N > 1 << 22:  # unreachable for catalog inputs; safety valve
             raise DivergentInput(f"tail does not certify for {fam} at z = {z}")
-        tail = tail_bound(fam, a, b, z, N)
+        u, v, top, bottom = _tail_parts(fam, a, b, z, N)
     num, den = sum_terms(family_recurrence(fam), a, b, z, N)
+    tail = tail_bound(fam, a, b, z, N)
     return BigApprox.from_partial_sum(num, den, tail, prec_for_digits(digits))
 
 
@@ -363,7 +384,7 @@ def sum_terms(rec, a, b, z, N: int) -> tuple[int, int]:
 
 
 # ============================================================
-# reports; the Clausen and Gauss-at-1/2 checks
+# reports
 # ============================================================
 
 class Report:
@@ -406,45 +427,4 @@ def compare_series(lhs: Series, rhs: Series, order: int) -> CheckReport:
         return CheckReport(True, f"series agree to order {order}")
     return CheckReport(
         False, f"first coefficient mismatch at index {miss}", first_mismatch=miss
-    )
-
-
-def clausen_check(a, b, order: int = 32) -> CheckReport:
-    """2F1(a,b; a+b+1/2; x)^2 == 3F2(2a, 2b, a+b; a+b+1/2, 2a+2b; x) to order."""
-    a, b = QQ(a), QQ(b)
-    f = hyper_series([a, b], [a + b + QQ(1, 2)], order)
-    lhs = fps_mul(f, f)
-    rhs = hyper_series([2 * a, 2 * b, a + b], [a + b + QQ(1, 2), 2 * a + 2 * b], order)
-    return compare_series(lhs, rhs, order)
-
-
-def gauss_half_check(s, digits: int = 30) -> CheckReport:
-    """s(1-s) F(s,1-s;1;1/2) F(s+1,2-s;2;1/2) == 2 sin(pi s)/pi to `digits`.
-
-    With F = 2F1(s,1-s;1;x) = sum f_n x^n, the derivative identity
-    F' = s(1-s) F(s+1,2-s;2;.) holds term for term, so the left side is
-    F(1/2) F'(1/2) = 2 S_0 S_1, S_j = sum n^j f_n 2^-n.  Both sums are
-    sum_terms over (n+1)^3 f_{n+1} = (n+s)(n+1-s)(n+1) f_n, with the
-    weights (1, 0) and (0, 1); 0 < f_n <= 1 bounds their tails t_0, t_1
-    after N terms by 2^(1-N) and (N+1) 2^(1-N), and the partial sums by
-    S_0, S_1 <= 2, so 2 S_0 S_1 is exact up to 2 (2 t_1 + 2 t_0 + t_0 t_1).
-    It is checked by against_pi.
-    """
-    s = QQ(s)
-    if not (0 < s < 1):
-        raise ValueError("gauss_half_check requires 0 < s < 1")
-    rec = (_poly_prod(1, (s, 1), (1 - s, 1), (1, 1)), ())
-    N = 16
-    while (N + 1) * 10 ** (digits + 8) >= 2 ** (N - 1):
-        N += 16
-    (n0, d0), (n1, d1) = sum_terms(rec, 1, 0, QQ(1, 2), N), sum_terms(rec, 0, 1, QQ(1, 2), N)
-    t0, t1 = QQ(2, 2**N), QQ(2 * N + 2, 2**N)
-    tail = 2 * (2 * t1 + 2 * t0 + t0 * t1)
-    value = BigApprox.from_partial_sum(2 * n0 * n1, d0 * d1, tail, prec_for_digits(digits + 5))
-    target = two_sin_pi(s, digits)
-    *_, ok, agreed = against_pi(value, target, digits)
-    return CheckReport(
-        ok,
-        f"lhs and rhs agree to {agreed} digits (exact sin branch: {isinstance(target, RadConst)})",
-        digits_agreed=agreed,
     )

@@ -21,11 +21,25 @@ def poly(coeffs) -> tuple:
     return tuple(out)
 
 
-def poly_eval(p: tuple, x):
-    acc = QQ(0)
+def _horner(p: tuple, x) -> tuple[int, int, int]:
+    """(V, W, D): p(x) = V/D and p'(x) = W/D, by one Horner pass on
+    integers over a common denominator D > 0, unreduced."""
+    n, d = x.numerator, x.denominator
+    V, W, D = 0, 0, 1
     for c in reversed(p):
-        acc = acc * x + c
-    return acc
+        W = W * n + V * d
+        V *= n
+        D *= d
+        cn, cd = c.numerator, c.denominator
+        if cd != 1:
+            V, W, D = V * cd, W * cd, D * cd
+        V += cn * (D // cd)
+    return V, W, D
+
+
+def poly_eval(p: tuple, x):
+    V, _, D = _horner(p, x)
+    return QQ(V, D)
 
 
 def poly_derivative(p: tuple) -> tuple:
@@ -79,20 +93,19 @@ class RatFun:
         raise AttributeError("RatFun is immutable")
 
     def __call__(self, x):
-        dv = poly_eval(self.den, x)
+        nv, _, nd = _horner(self.num, x)
+        dv, _, dd = _horner(self.den, x)
         if dv == 0:
             raise SingularPoint(f"denominator vanishes at x = {x}")
-        return poly_eval(self.num, x) / dv
+        return QQ(nv * dd, nd * dv)
 
     def derivative_at(self, x):
         """(num/den)'(x) by the quotient rule, exactly."""
-        dv = poly_eval(self.den, x)
+        nv, nw, nd = _horner(self.num, x)
+        dv, dw, dd = _horner(self.den, x)
         if dv == 0:
             raise SingularPoint(f"denominator vanishes at x = {x}")
-        nv = poly_eval(self.num, x)
-        ndv = poly_eval(poly_derivative(self.num), x)
-        ddv = poly_eval(poly_derivative(self.den), x)
-        return (ndv * dv - nv * ddv) / (dv * dv)
+        return QQ((nw * dv - nv * dw) * dd, nd * dv * dv)
 
     def __repr__(self):
         return f"RatFun(num={list(self.num)}, den={list(self.den)})"

@@ -49,7 +49,7 @@ from .numerics import (
     rad_pow_half,
     rad_to_bigapprox,
 )
-from .poly import RatFun, poly, poly_derivative, poly_eval, poly_mul, poly_scale
+from .poly import RatFun, _horner, poly, poly_eval, poly_mul, poly_scale
 
 # ============================================================
 # prefactors: scale * prod p_i(x)^(e_i)
@@ -93,17 +93,19 @@ class Prefactor(NamedTuple):
         return functools.reduce(fps_mul, parts) if parts else Series.one(order)
 
     def dlog_at(self, x0):
-        """Exact logarithmic derivative B'(x0)/B(x0), a rational."""
+        """Exact logarithmic derivative B'(x0)/B(x0), a rational: the sum of
+        e p'(x0)/p(x0) over the factors, on one integer fraction."""
         x0 = QQ(x0)
-        out = QQ(0)
+        num, den = 0, 1
         for p, e in self.factors:
-            v = poly_eval(p, x0)
+            v, w, _ = _horner(p, x0)
             if v == 0:
                 raise SingularPoint(
                     f"prefactor base {list(p)} vanishes at x = {format_rational(x0)}"
                 )
-            out += QQ(e) * poly_eval(poly_derivative(p), x0) / v
-        return out
+            e = QQ(e)
+            num, den = num * e.denominator * v + e.numerator * w * den, den * e.denominator * v
+        return QQ(num, den)
 
     def inverse(self) -> "Prefactor":
         return Prefactor(1 / QQ(self.scale), tuple((p, -e) for p, e in self.factors))
@@ -204,27 +206,35 @@ def _parse_rule(obj) -> TransformRule:
 
 
 @functools.cache
-def load_rules() -> dict:
-    """id -> TransformRule, from the bundled rules.json; read once per process."""
+def _rule_objects() -> dict:
+    """id -> JSON object of each rule in the bundled rules.json, read once
+    per process; a duplicate id is refused."""
     raw = json.loads((Path(__file__).resolve().parent / "data" / "rules.json").read_text())
     out: dict = {}
     for obj in raw["rules"]:
-        rule = _parse_rule(obj)
-        if rule.rid in out:
-            raise ParseError(f"duplicate rule id {rule.rid}")
-        out[rule.rid] = rule
+        if obj["id"] in out:
+            raise ParseError(f"duplicate rule id {obj['id']}")
+        out[obj["id"]] = obj
     return out
 
 
+@functools.cache
 def get_rule(rid: str) -> TransformRule:
-    rules = load_rules()
-    if rid not in rules:
+    """The shipped rule `rid`, parsed on first use: a catalog run replays
+    through about half of the rules."""
+    obj = _rule_objects().get(rid)
+    if obj is None:
         raise ParseError(f"unknown rule id {rid!r}")
-    return rules[rid]
+    return _parse_rule(obj)
+
+
+def load_rules() -> dict:
+    """id -> TransformRule for every shipped rule."""
+    return {rid: get_rule(rid) for rid in _rule_objects()}
 
 
 def rule_ids() -> list[str]:
-    return sorted(load_rules())
+    return sorted(_rule_objects())
 
 
 # ============================================================

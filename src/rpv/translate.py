@@ -483,10 +483,9 @@ def replay(cert: Certificate | dict, stored: dict | None = None) -> CheckReport:
         stored, cert = cert, Certificate.from_json(cert)
     elif stored is None:
         stored = cert.to_json()
-    fresh = translate(cert.source, cert.rule_id, x0=cert.x0)
-    drift = _drift(fresh.to_json(), stored)
-    if drift:
-        return CheckReport(False, "replay drift in: " + ", ".join(drift))
+    fresh = translate(cert.source, cert.rule_id, x0=cert.x0).to_json()
+    if json.dumps(fresh, sort_keys=True) != json.dumps(stored, sort_keys=True):
+        return CheckReport(False, "replay drift in: " + ", ".join(_drift(fresh, stored)))
     return CheckReport(
         True,
         f"replayed {cert.rule_id} ({cert.orientation}) at "

@@ -10,8 +10,8 @@ import pytest
 from rpv.binsplit import oracle_digits, pi_digits
 from rpv.catalog import load_catalog, verify_all
 from rpv.errors import GateRefused
-from rpv.fps import Series, fps_add, fps_mul, fps_theta
-from rpv.hyper import coeff, hyper3F2, pochhammer
+from rpv.fps import Series, fps_mul
+from rpv.hyper import coeff, hyper3F2
 from rpv.numerics import BigApprox, RadConst, pi_oracle, rad_to_bigapprox
 from rpv.special import (
     LIMIT_SPECS,
@@ -32,6 +32,7 @@ from rpv.transforms import (
 )
 from rpv.translate import Certificate, replay, translate
 from gauss_checks import pfaff_twice_is_euler
+from reference_kernels import fps_add, fps_theta, pochhammer
 from test_special import sun_solve_points
 
 

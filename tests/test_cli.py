@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -705,3 +706,25 @@ def test_pool_workers_read_the_overriding_catalog(monkeypatch, tmp_path):
     assert code == 1, err
     failed = {line.split()[0] for line in out.splitlines() if " FAIL " in line}
     assert failed == {"s12-04", "s14-02", "s16-01", "s16-10"}
+
+
+def test_near_edge_sum_is_refused_quickly(tmp_path):
+    # |z| R = 99999/100000 needs more than 2^22 terms at 50 digits; the term
+    # search once built (u/v)^N exactly up to N = 2^23 before it refused
+    doc = json.loads((DATA_DIR / "catalog.json").read_text())
+    doc["entries"].append({
+        "id": "edge-1", "family": "hyper3F2", "s": "1/2", "z": "99999/100000",
+        "a": "1", "b": "0", "c_r": "1", "c_m": 1, "c_t": 0,
+        "status": "numeric-only", "tags": [], "paper_line": 1,
+    })
+    (tmp_path / "catalog.json").write_text(json.dumps(doc))
+    shutil.copy(DATA_DIR / "certificates.json", tmp_path)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rpv.cli", "verify", "--id", "edge-1", "--digits", "50"],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, RPV_CATALOG=str(tmp_path / "catalog.json")),
+    )
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 1, proc.stderr
+    assert "refused: tail does not certify for hyper3F2:1/2 at z = 99999/100000" in proc.stderr

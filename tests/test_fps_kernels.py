@@ -25,18 +25,16 @@ from rpv.errors import (
 )
 from rpv.fps import (
     Series,
-    fps_add,
     fps_compose,
     fps_expand_ratfun,
     fps_mul,
     fps_pow_rational,
     fps_scale,
-    fps_sub,
-    fps_theta,
 )
 from rpv.hyper import family_series
 from rpv.poly import RatFun, poly_add, poly_mul
 from rpv.transforms import _family_compose, get_rule, verify_rule_formal
+from reference_kernels import fps_add, fps_sub, fps_theta
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

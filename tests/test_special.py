@@ -10,7 +10,7 @@ import pytest
 from rpv.errors import InvariantViolation
 from rpv import special
 from rpv.fps import fps_mul
-from rpv.hyper import gauss_half_check, hyper3F2, hyper_series, square2F1, sum_terms
+from rpv.hyper import hyper3F2, hyper_series, square2F1, sum_terms
 from rpv.numerics import RadConst
 from rpv.poly import RatFun
 from rpv.special import (
@@ -26,6 +26,7 @@ from rpv.special import (
     sun_S2_identity,
 )
 from rpv.translate import solve_for_x
+from gauss_checks import gauss_half_check
 
 
 def sun_solve_points() -> dict:

@@ -28,6 +28,7 @@ from rpv.poly import poly_eval
 from rpv.numerics import BigApprox, prec_for_digits
 from rpv.transforms import get_rule, rule_ids, verify_rule_numeric
 from rpv.translate import GATE_DIGITS, _gate_point, replay
+from reference_kernels import pochhammer
 
 
 def reference_sum(fam, a, b, z, N):
@@ -94,7 +95,7 @@ def test_sum_terms_gauss_recurrence_equals_fraction_sums():
         total = QQ(0)
         for N in range(1, 61):
             n = N - 1
-            f = hyper.pochhammer(s, n) * hyper.pochhammer(1 - s, n) / math.factorial(n) ** 2
+            f = pochhammer(s, n) * pochhammer(1 - s, n) / math.factorial(n) ** 2
             total += (a + b * n) * f * z**n
             num, den = sum_terms(rec, a, b, z, N)
             assert den > 0

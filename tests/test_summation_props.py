@@ -4,7 +4,8 @@ BigApprox.from_partial_sum does not depend on the pair's common factor.
 Any rational s, a and b, z of either sign strictly inside the family's
 envelope (z = 0 included) and N from 1 to 600 terms, with the split's gcd
 limits at their defaults and at 0 and 256 bits, where reduced and unreduced
-merges mix.
+merges mix.  The integer tail bound and term search equal their Fraction
+forms in tests/reference_kernels.py.
 """
 
 from fractions import Fraction as QQ
@@ -13,7 +14,9 @@ import pytest
 
 from rpv import numerics
 from rpv.numerics import BigApprox
-from rpv.hyper import CoeffFamily, family_envelope, family_recurrence, sum_terms
+from rpv.hyper import CoeffFamily, eval_numeric, family_envelope, family_recurrence, sum_terms
+from rpv.hyper import tail_bound
+from reference_kernels import reference_eval_numeric, reference_tail_bound
 from test_summation import reference_sum
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -74,3 +77,33 @@ def test_from_partial_sum_ignores_common_factor(num, den, g, tail, prec):
     reduced = BigApprox.from_rational(QQ(num, den), prec)
     tail_ulps = (tail.numerator << prec) // tail.denominator + 1
     assert (got.man, got.err) == (reduced.man, reduced.err + tail_ulps)
+
+
+@st.composite
+def _tail_inputs(draw, edge_num: int, edge_den: int):
+    """(fam, a, b, z): every family, (a, b) != (0, 0), and z of either sign
+    with 0 < |z| R <= edge_num/edge_den."""
+    kind = draw(st.sampled_from(KINDS))
+    fam = CoeffFamily(kind, QQ(0) if kind == "domb" else draw(_rationals(12, 12)))
+    R, _ = family_envelope(fam)
+    q = draw(st.integers(2, 10**4))
+    p = draw(st.integers(1, max(1, q * edge_num // edge_den)))
+    z = QQ(draw(st.sampled_from((-1, 1))) * p, q * R)
+    a, b = draw(_rationals(50, 30)), draw(_rationals(50, 30))
+    return fam, (a if a or b else QQ(1)), b, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tail_inputs(9999, 10000), st.one_of(st.integers(1, 64), st.integers(1, 4096)))
+@example((CoeffFamily("domb", QQ(0)), QQ(0), QQ(5, 3), QQ(-1, 65)), 4096)
+@example((CoeffFamily("hyper3F2", QQ(1, 2)), QQ(1), QQ(0), QQ(99999, 100000)), 1)
+def test_tail_bound_equals_fraction_form(args, N):
+    assert tail_bound(*args, N) == reference_tail_bound(*args, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tail_inputs(9, 10), st.integers(5, 200))
+@example((CoeffFamily("convCentral", QQ(1, 3)), QQ(-2, 7), QQ(5, 3), QQ(-9, 40)), 200)
+def test_eval_numeric_equals_doubling_search(args, digits):
+    got, want = eval_numeric(*args, digits), reference_eval_numeric(*args, digits)
+    assert (got.man, got.prec, got.err) == (want.man, want.prec, want.err)

@@ -1,10 +1,12 @@
 """Transformation rules: loading, formal verification, numeric gates."""
 
 import random
+import types
 from fractions import Fraction as QQ
 
 import pytest
 
+from rpv import transforms
 from rpv.errors import DivergentInput, ParseError, SingularPoint
 from rpv.fps import Series, fps_mul, fps_pow_rational
 from rpv.hyper import converges, family_envelope
@@ -244,3 +246,20 @@ def test_pfaff_twice_is_euler_randomized():
         c = QQ(rng.randint(1, 7), rng.randint(2, 9)) + 1
         report = pfaff_twice_is_euler(a, b, c, 20)
         assert report.passed, (a, b, c, report.detail)
+
+
+def test_rules_parse_on_first_use_and_load_all():
+    with pytest.raises(ParseError, match="unknown rule id 'nope'"):
+        get_rule("nope")
+    with pytest.raises(ParseError):
+        get_rule("nope")
+    rules = load_rules()
+    assert len(rules) == 25
+    assert all(rules[rid] is get_rule(rid) for rid in rule_ids())
+
+
+def test_duplicate_rule_id_refused(monkeypatch):
+    raw = {"rules": [{"id": "pfaff-sq"}, {"id": "pfaff-sq"}]}
+    monkeypatch.setattr(transforms, "json", types.SimpleNamespace(loads=lambda text: raw))
+    with pytest.raises(ParseError, match="duplicate rule id pfaff-sq"):
+        transforms._rule_objects.__wrapped__()

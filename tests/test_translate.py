@@ -299,3 +299,18 @@ def test_replay_names_every_drifted_key():
     blob = _forged("trace.u0", "7")
     blob["x0"] = "2/4"  # parses to the same point, but is not the canonical text
     assert replay(blob).detail == "replay drift in: trace.u0, x0"
+
+
+def test_replay_ignores_key_order_only():
+    blob = translate(START4, "pfaff-sq", x0=QQ(1, 2)).to_json()
+    reordered = {key: blob[key] for key in reversed(blob)}
+    reordered["gate"] = {key: blob["gate"][key] for key in reversed(blob["gate"])}
+    assert list(reordered) != list(blob)
+    assert replay(reordered).passed
+
+
+def test_replay_float_agreed_is_drift():
+    # 17.0 == 17 in Python, but the canonical JSON text differs
+    blob = translate(START4, "pfaff-sq", x0=QQ(1, 2)).to_json()
+    blob["gate"]["agreed"] = float(blob["gate"]["agreed"])
+    assert replay(blob).detail == "replay drift in: gate.agreed"
