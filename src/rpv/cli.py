@@ -306,7 +306,7 @@ def _run_limit(args) -> int:
     else:
         flag = "pass" if rep.passed else "FAIL"
         print(
-            f"{args.limit_id}: {flag}  value={rep.value!r} target={rep.target_value!r}"
+            f"{args.limit_id}: {flag}  value={rep.value!r} target={rep.target!r}"
             f"  pi*limit={rep.exact!r} (tolerance {rep.tolerance:g})"
         )
         print(f"  {rep.detail}")

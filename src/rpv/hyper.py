@@ -393,14 +393,12 @@ class Report:
     A report is a NamedTuple whose body binds `to_json = Report.to_json`,
     since a NamedTuple cannot subclass Report too.  to_json walks the
     record's _fields in order and derives each key from the field name:
-    `passed` becomes "pass" and snake_case becomes camelCase, unless the
-    class's key map `_keys` (field name -> key) names it.  Rationals are
+    `passed` becomes "pass" and snake_case becomes camelCase.  Rationals are
     rendered by format_rational and RadConsts by repr.
     """
 
     def to_json(self) -> dict:
         out = {}
-        keys = getattr(self, "_keys", {})
         for name in self._fields:
             head, *rest = ["pass"] if name == "passed" else name.split("_")
             value = getattr(self, name)
@@ -408,7 +406,7 @@ class Report:
                 value = repr(value)
             elif isinstance(value, QQ):
                 value = format_rational(value)
-            out[keys.get(name, head + "".join(w.title() for w in rest))] = value
+            out[head + "".join(w.title() for w in rest)] = value
         return out
 
 

@@ -9,6 +9,7 @@ from .errors import GateRefused, InvariantViolation
 from .fps import fps_mul
 from .hyper import (
     CheckReport,
+    CoeffFamily,
     Report,
     against_pi,
     coeff,
@@ -112,30 +113,18 @@ def corollary_binomial_check(s, n_max: int, base: int | None = None) -> CheckRep
 # limit formulas
 # ============================================================
 
-class LimitSpec:
+class LimitSpec(NamedTuple):
     """w(x) * sum n t_n A(x)^n -> target/pi as x -> x_star along `direction`
     ("left" or "right"), for a hyper3F2 family, RatFuns w and A, a rational
-    x_star and a RadConst target.  A __slots__ class, not a NamedTuple, so
-    that its constructor validates: every spec meets limit_exact's hypotheses."""
+    x_star and a nonzero real RadConst target.  A plain record: limit_exact
+    checks these conditions along with the closed form's hypotheses."""
 
-    __slots__ = ("family", "weight", "argument", "x_star", "direction", "target")
-
-    def __init__(self, family, weight: RatFun, argument: RatFun, x_star, direction, target):
-        values = (family, weight, argument, x_star, direction, target)
-        for name, value in zip(LimitSpec.__slots__, values):
-            object.__setattr__(self, name, value)
-        if self.family.kind != "hyper3F2":
-            raise InvariantViolation("limit specs run on the hyper3F2 stream")
-        if self.direction not in ("left", "right"):
-            raise InvariantViolation(f"bad direction {self.direction!r}")
-        if not (self.target.is_real() and not self.target.is_zero()):
-            raise InvariantViolation("limit target must be a nonzero real radical")
-        if self.weight(QQ(self.x_star)) != 0:
-            raise InvariantViolation("weight must vanish at the approach point")
-        limit_exact(self)  # the closed form's hypotheses, checked exactly
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("LimitSpec is immutable")
+    family: CoeffFamily
+    weight: RatFun
+    argument: RatFun
+    x_star: object  # QQ
+    direction: str
+    target: RadConst
 
 
 def _over_pi(c: RadConst) -> float:
@@ -185,9 +174,16 @@ def limit_exact(spec: LimitSpec) -> LimitProof:
     sum n t_n A^n ~ sin(pi s) / (pi sqrt(1 - A)).  Hence
     pi * limit = sign(w) sin(pi s) sqrt(L), L = lim w^2 / (1 - A), which the
     leading Taylor terms of w and 1 - A at x_star give exactly.  Raises
-    InvariantViolation when a hypothesis fails: A(x_star) = +1, L finite and
-    > 0 (so A -> 1- on both sides), sin(pi s) on the exact table.
+    InvariantViolation when the spec is malformed (family, direction,
+    target) or a hypothesis fails: A(x_star) = +1, L finite and > 0 (so
+    A -> 1- on both sides, and w(x_star) = 0), sin(pi s) on the exact table.
     """
+    if spec.family.kind != "hyper3F2":
+        raise InvariantViolation("limit specs run on the hyper3F2 stream")
+    if spec.direction not in ("left", "right"):
+        raise InvariantViolation(f"bad direction {spec.direction!r}")
+    if not (spec.target.is_real() and not spec.target.is_zero()):
+        raise InvariantViolation("limit target must be a nonzero real radical")
     x = QQ(spec.x_star)
     A = spec.argument
     if A(x) != 1:
@@ -251,17 +247,12 @@ LIMIT_SPECS = {
 
 class LimitReport(NamedTuple):
     to_json = Report.to_json
-    _keys = {"target_value": "target"}  # field name -> JSON key
-    value: float
-    target_value: float
+    value: float  # the limit, exact/pi, as a float
+    target: float  # spec.target/pi as a float
     tolerance: float
     passed: bool
     detail: str
     exact: RadConst  # pi * limit, derived by limit_exact
-    # kept as --json keys; an exact verdict has no depth and no error estimate
-    k_used: int = 0
-    error_estimate: float = 0.0
-    method: str = "closed-form"
 
 
 def limit_eval(spec: LimitSpec, tolerance: float) -> LimitReport:
@@ -274,7 +265,7 @@ def limit_eval(spec: LimitSpec, tolerance: float) -> LimitReport:
     proof = limit_exact(spec)
     return LimitReport(
         value=_over_pi(proof.value),
-        target_value=_over_pi(spec.target),
+        target=_over_pi(spec.target),
         tolerance=tolerance,
         passed=proof.value == spec.target,
         detail=proof.detail(),

@@ -154,7 +154,12 @@ def reverse_rule(rule: TransformRule) -> TransformRule:
 # --- JSON loading -------------------------------------------------------
 
 def _parse_coeff(v):
-    return parse_rational(v) if isinstance(v, str) else QQ(v)
+    """A rule coefficient: a JSON integer (not a bool) or a "p/q" string."""
+    if isinstance(v, str):
+        return parse_rational(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return QQ(v)
+    raise ParseError(f'rule coefficient {v!r} is not an integer or a "p/q" string')
 
 
 def _parse_poly_spec(spec) -> tuple:

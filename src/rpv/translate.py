@@ -317,7 +317,7 @@ def theta_transport(A, B, C, x0, a, b) -> tuple:
     (a, b) the weights of the left-hand spec.  Returns
     (lam, dlog_b, dlog_c, beta, u0, u1): the weights of the right-hand spec
     are beta * (u0, u1).  Raises SingularPoint at a critical point of A, where
-    B vanishes and where C vanishes.
+    B vanishes, where C vanishes and where both u0 and u1 vanish.
     """
     x0, a, b = QQ(x0), QQ(a), QQ(b)
     zC = C(x0)
@@ -337,7 +337,13 @@ def theta_transport(A, B, C, x0, a, b) -> tuple:
     if zC == 0:
         raise SingularPoint("target argument vanishes at x0")
     dlog_c = x0 * C.derivative_at(x0) / zC
-    return lam, dlog_b, dlog_c, beta, a + b * dlog_b / lam, b * dlog_c / lam
+    u0, u1 = a + b * dlog_b / lam, b * dlog_c / lam
+    if u0 == 0 and u1 == 0:
+        raise SingularPoint(
+            f"both target weights vanish at x0 = {format_rational(x0)}: "
+            "limit-formula territory, not a transport"
+        )
+    return lam, dlog_b, dlog_c, beta, u0, u1
 
 
 def translate(
@@ -405,14 +411,9 @@ def translate(
         status = "divergent-certificate"
         side = "target" if edge_tgt > 1 else "source"
         notes.append(
-            f"{side} argument lies outside the convergence envelope; the "
-            "series value is *defined* by this certificate through analytic "
-            "continuation of the rule along the real segment from 0"
-        )
-        notes.append(
-            "the prefactor at x0 is taken on the principal branch; a branch "
-            "mismatch rescales c by a constant algebraic factor but leaves "
-            "the normalized pair (a, b) invariant"
+            f"{side} argument lies outside the convergence envelope, so no "
+            "gate runs; c is transported with the prefactor on its principal "
+            "branch but not checked against the series continued to z"
         )
         if edge_src > 1:
             notes.append(

@@ -199,34 +199,35 @@ def test_limit_text_output():
 
 
 # sha256 of the default `limit --id X --tolerance 1e-8` output, as
-# (--json, text); the exact verdict must print these bytes
+# (--json, text); the exact verdict must print these bytes.  The --json
+# object has the keys value, target, tolerance, pass, detail, exact and id
 LIMIT_OUTPUT_SHA256 = {
     "limit-start-1/2": (
-        "e182f9242fbc2c3b61c99b89a8008a8ae9e4fad73b4d797da2417ec6f846cb21",
+        "0daaf807bfe5ad0d735c214eb0911d4c6f2ef36a34fc230305948bdb18c79628",
         "1f0903583a149776a737262cfe946c9e17c9715b7f1e61e02b809d829e5eef94",
     ),
     "limit-start-1/3": (
-        "80622ab0d1ec97786d52f5d47ec483b70462ce6eb4c06d67e05457e93df92db5",
+        "497da46a025309236acbf25d9788348d9bc1425f85096eb49c1fadfea3eb708c",
         "10b5f927203062a01cee4197b9896f123f22e34b9cb60e02077a77dbd84228df",
     ),
     "limit-start-1/4": (
-        "abe9878ae04c89d9f5e3c02c8dc55105faa1d0c6135f4e8eb3d9a4e1bcf963c6",
+        "31229df480192663d5a413c1379fc8f33672d3cf6794f909ea3a7081c1e9f822",
         "f40bcb4f5bf6a9cdbeeb1e9aee15f0aa90be996c8d8d0634fe0dbd342e30fb53",
     ),
     "limit-start-1/6": (
-        "8922113df4d157c0559d51f4de170edbe9305dd387880576eb9a2a541af4b31b",
+        "027e7a2cf86d9c9a0807e729b28ef8f31b3af26433efe5ce4d4969b476daea18",
         "8d796b3d4da0999b0c39f4e383fddcf5e400540c214b70daa5ea99e829449d4d",
     ),
     "limit-8x1": (
-        "83c78e95e3a639954f7192ac8ce61d361aa66f2daaebaf6a947f2cc5b2161e05",
+        "5308fb84a9e4802aadf9685c4ffff98dc194aa151936bbb89f83b0352992de30",
         "ebcd29fa1306cedbd2fc0235863a4a552f21b3eb6863a009dce144ce69c41567",
     ),
     "limit-x1": (
-        "70b819aa8695fd850fdaaf8b03676bc3424bac2480bf11916ee5022b6d6d3a5a",
+        "f7cad89117a3d3d21519420b06274c1a70a8c2a426afc9f311db3a818b36e1de",
         "38570201a92456665151b4b199b11e469631a39b7c14d4aabd92a30f2d939d4b",
     ),
     "limit-8px": (
-        "edd04905441a0d7c0b91a9019c1c526068b232cebc7bbc67b5a712278243cad7",
+        "4237536504f1a03b6a764b92c24f9e738826620bf21342f70042ddeea523b63a",
         "e7f54b8a19eb89efb8ca4f595dd48b36e9026fc43e5828c46b54110c8601cd78",
     ),
 }
@@ -239,6 +240,27 @@ def test_limit_default_output_is_pinned(lid):
         code, out, _ = run_cli(argv + extra)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want, (lid, extra)
+
+
+def test_degenerate_transport_exits_1():
+    code, _, err = run_cli(
+        ["translate", "--source", "start-1/2", "--rule", "seed-quad-12", "--x0", "1/2"]
+    )
+    assert code == 1
+    assert "both target weights vanish at x0 = 1/2" in err
+
+
+def test_limit_proves_its_spec_once(monkeypatch):
+    proofs = []
+    prove = rpv.special.limit_exact
+    monkeypatch.setattr(
+        rpv.special, "limit_exact", lambda spec: proofs.append(spec) or prove(spec)
+    )
+    code, out, _ = run_cli(["limit", "--id", "limit-8px", "--tolerance", "1e-8", "--json"])
+    assert code == 0
+    assert proofs == [rpv.special.LIMIT_SPECS["limit-8px"]]
+    assert set(json.loads(out)) == {"value", "target", "tolerance", "pass", "detail",
+                                    "exact", "id"}
 
 
 def test_limit_ladder_flag_is_gone():

@@ -231,6 +231,22 @@ def test_agm_machin_cross_agreement(digits):
     assert abs(mac - agm) + err < (1 << P) // 10**digits
 
 
+def test_machin_identity_is_pi_over_four():
+    """machin_pi sums 4 (4 atan(1/5) - atan(1/239)); the bracket is pi/4.
+
+    arg(5+i) = atan(1/5) and arg(239-i) = -atan(1/239), so the Gaussian
+    product below gives theta = 4 atan(1/5) - atan(1/239) = pi/4 + 2 pi k.
+    With x - x^3/3 < atan(x) < x for 0 < x < 1, theta lies in (0, pi/2),
+    so k = 0."""
+    z = (1, 0)
+    for re, im in [(5, 1)] * 4 + [(239, -1)]:
+        z = (z[0] * re - z[1] * im, z[0] * im + z[1] * re)
+    assert z == (114244, 114244)  # 114244 (1 + i), of argument pi/4
+    lo = 4 * (QQ(1, 5) - QQ(1, 3 * 5**3)) - QQ(1, 239)
+    hi = 4 * QQ(1, 5) - (QQ(1, 239) - QQ(1, 3 * 239**3))
+    assert 0 < lo < hi < QQ(3, 2)  # 3/2 < pi/2, as pi > 3
+
+
 def test_pi_oracle_small_digits():
     pi = pi_oracle(1)
     assert pi.to_decimal(1).startswith("3.1")

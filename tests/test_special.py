@@ -115,24 +115,41 @@ def test_limit_exact_decides_every_spec():
         assert proof.L == LIMIT_L[lid], lid
         assert (proof.weight_order, proof.gap_order, proof.sign) == (1, 2, 1), lid
         rep = limit_eval(LIMIT_SPECS[lid], 1e-8)
-        assert rep.passed and rep.k_used == 0 and rep.error_estimate == 0.0, lid
-        assert rep.exact == RadConst(r, m) and rep.method == "closed-form", lid
+        assert rep.passed and rep.exact == RadConst(r, m), lid
+
+
+def test_limit_spec_is_a_plain_record():
+    # building a spec checks nothing; limit_exact refuses it
+    half = QQ(1, 2)
+    spec = LimitSpec(
+        hyper3F2(half), RatFun((1, -2), (1, -1)), RatFun((0, 4, -4)), half, "up", RadConst(2)
+    )
+    assert spec.direction == "up"
+    with pytest.raises(InvariantViolation, match="bad direction 'up'"):
+        limit_exact(spec)
+    with pytest.raises(InvariantViolation):
+        limit_eval(spec, 1e-8)
 
 
 def test_limit_spec_rejects_bad_input():
     weight = RatFun((1, -2), (1, -1))
     arg = RatFun((0, 4, -4))
     half = QQ(1, 2)
+    with pytest.raises(InvariantViolation, match="infinite"):
+        # w(x*) = 1: the weight does not vanish at the approach point
+        limit_exact(LimitSpec(hyper3F2(half), RatFun((1,)), arg, half, "left", RadConst(2)))
     with pytest.raises(InvariantViolation):
-        LimitSpec(hyper3F2(half), RatFun((1,)), arg, half, "left", RadConst(2))
+        limit_exact(LimitSpec(hyper3F2(half), weight, arg, half, "up", RadConst(2)))
     with pytest.raises(InvariantViolation):
-        LimitSpec(hyper3F2(half), weight, arg, half, "up", RadConst(2))
+        limit_exact(LimitSpec(square2F1(half), weight, arg, half, "left", RadConst(2)))
     with pytest.raises(InvariantViolation):
-        LimitSpec(square2F1(half), weight, arg, half, "left", RadConst(2))
+        limit_exact(
+            LimitSpec(hyper3F2(half), weight, RatFun((0, 2, -2)), half, "left", RadConst(2))
+        )
     with pytest.raises(InvariantViolation):
-        LimitSpec(hyper3F2(half), weight, RatFun((0, 2, -2)), half, "left", RadConst(2))
+        limit_exact(LimitSpec(hyper3F2(half), weight, arg, half, "left", RadConst(2, 1, 1)))
     with pytest.raises(InvariantViolation):
-        LimitSpec(hyper3F2(half), weight, arg, half, "left", RadConst(2, 1, 1))
+        limit_exact(LimitSpec(hyper3F2(half), weight, arg, half, "left", RadConst(0)))
 
 
 def test_limit_spec_rejects_failed_closed_form_hypotheses():
@@ -151,7 +168,7 @@ def test_limit_spec_rejects_failed_closed_form_hypotheses():
     ]
     for fam, w, a in cases:
         with pytest.raises(InvariantViolation):
-            LimitSpec(fam, w, a, half, "left", RadConst(2))
+            limit_exact(LimitSpec(fam, w, a, half, "left", RadConst(2)))
 
 
 def test_limit_wrong_target_fails():
@@ -289,14 +306,13 @@ def test_report_json_keys():
     start = starting_formula(QQ(1, 2)).to_json()
     assert start["pass"] and start["exactTarget"]
     limit = limit_eval(LIMIT_SPECS["limit-start-1/6"], 1e-6).to_json()
-    assert limit["pass"] and limit["kUsed"] == 0
-    assert limit["errorEstimate"] <= limit["tolerance"]
+    assert limit["pass"] and limit["tolerance"] == 1e-6
+    assert abs(limit["value"] - limit["target"]) <= limit["tolerance"]
 
 
 def test_report_json_key_sets():
     limit = LIMIT_SPECS["limit-start-1/6"]
-    limit_keys = {"value", "target", "tolerance", "pass", "kUsed", "errorEstimate",
-                  "detail", "exact", "method"}
+    limit_keys = {"value", "target", "tolerance", "pass", "detail", "exact"}
     start = starting_formula(QQ(1, 3), 15).to_json()
     assert set(start) == {"s", "exactTarget", "pass", "digitsAgreed", "computed",
                           "target", "detail"}

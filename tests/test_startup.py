@@ -2,9 +2,9 @@
 
 Every rpv command starts a fresh interpreter, so what importing the package
 costs is paid on every run.  Records are NamedTuples, and values with
-arithmetic or a validating constructor are __slots__ classes: creating
-neither execs generated code, and the dataclasses module, with the inspect,
-ast and dis modules it imports, stays out of the start-up.
+arithmetic are __slots__ classes: creating neither execs generated code, and
+the dataclasses module, with the inspect, ast and dis modules it imports,
+stays out of the start-up.  Module-level data is built, not proved.
 """
 
 import os
@@ -45,6 +45,26 @@ def test_cli_start_imports_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_cli_import_proves_no_limit():
+    # LIMIT_SPECS is plain data; `rpv limit` proves the one spec it runs
+    env = {k: v for k, v in os.environ.items() if k != "RPV_CATALOG"}
+    env["PYTHONPATH"] = str(Path(rpv.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "calls = []\n"
+        "sys.setprofile(lambda frame, event, arg: event == 'call'"
+        " and frame.f_code.co_name == 'limit_exact' and calls.append(1))\n"
+        "import rpv.cli\n"
+        "sys.setprofile(None)\n"
+        "print(len(calls))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_stream_cache_is_empty_after_import():

@@ -146,6 +146,24 @@ def test_rule_argument_must_vanish_at_zero():
         )
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, None, [1]])
+def test_rule_coefficients_are_integers_or_rational_strings(bad):
+    def rule(coeff):
+        return {
+            "id": "coeffs",
+            "lhs": "hyper3F2:1/2",
+            "rhs": "hyper3F2:1/2",
+            "A": {"num": [0, coeff]},
+            "B": {},
+            "C": {"num": [0, 1]},
+        }
+
+    assert _parse_rule(rule(-3)).A.num == (0, -3)
+    assert _parse_rule(rule("-1/10")).A.num == (0, QQ(-1, 10))
+    with pytest.raises(ParseError, match="is not an integer"):
+        _parse_rule(rule(bad))
+
+
 def test_rule_prefactor_must_be_one_at_zero():
     with pytest.raises(ParseError):
         _parse_rule(

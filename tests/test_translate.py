@@ -101,7 +101,8 @@ def test_divergent_minus_eight():
     assert cert.status == "divergent-certificate"
     assert cert.target == spec("hyper3F2:1/2", -8, 1, 3, RadConst(1))
     assert cert.gate_x is None
-    assert any("defined" in n for n in cert.notes)
+    assert any("not checked against the series continued to z" in n for n in cert.notes)
+    assert not any("defined" in n or "branch mismatch" in n for n in cert.notes)
 
 
 def test_divergent_plus_four_two_routes():
@@ -190,6 +191,12 @@ def test_critical_point_is_singular():
     src = spec("square2F1:1/2", (1, 2), 0, 1, RadConst(2))
     with pytest.raises(SingularPoint):
         translate(src, synthetic, x0=QQ(1, 2))
+
+
+def test_vanishing_target_weights_are_singular():
+    # the starting formula's own limit point: u0 = u1 = 0 at x0 = 1/2
+    with pytest.raises(SingularPoint, match="both target weights vanish at x0 = 1/2"):
+        translate(START2, "seed-quad-12", x0=QQ(1, 2))
 
 
 def test_replay_round_trip():
